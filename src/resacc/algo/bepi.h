@@ -42,6 +42,7 @@ class BePi : public IndexedSsrwrAlgorithm {
  public:
   BePi(const Graph& graph, const RwrConfig& config,
        const BePiOptions& options = {});
+  BePi(Graph&&, const RwrConfig&, const BePiOptions& = {}) = delete;
 
   const std::string& name() const override { return name_; }
 

@@ -34,6 +34,7 @@ class BiPpr {
  public:
   BiPpr(const Graph& graph, const RwrConfig& config,
         const BiPprOptions& options = {});
+  BiPpr(Graph&&, const RwrConfig&, const BiPprOptions& = {}) = delete;
 
   const std::string& name() const { return name_; }
 

@@ -39,16 +39,6 @@ ControlledQueryResult Fora::QueryControlled(NodeId source,
   const CancellationToken* cancel = control.cancel;
 
   ControlledQueryResult result;
-  result.achieved_epsilon = config_.epsilon;
-
-  auto tag_degraded = [&](Score uncorrected_mass) {
-    result.uncorrected_mass = uncorrected_mass;
-    if (uncorrected_mass > 0.0) {
-      result.degraded = true;
-      result.achieved_epsilon =
-          config_.epsilon + uncorrected_mass / config_.delta;
-    }
-  };
 
   // Phase 1: forward push with early termination (large r_max).
   Timer phase;
@@ -64,7 +54,7 @@ ControlledQueryResult Fora::QueryControlled(NodeId source,
     result.status = cancel->StopStatus();
     result.scores.assign(graph_.num_nodes(), 0.0);
     for (NodeId v : state_.touched()) result.scores[v] = state_.reserve(v);
-    tag_degraded(state_.ResidueSum());
+    AccuracyFor(config_, state_.ResidueSum()).ApplyTo(result);
     last_stats_.total_seconds = total.ElapsedSeconds();
     return result;
   }
@@ -89,7 +79,7 @@ ControlledQueryResult Fora::QueryControlled(NodeId source,
   last_stats_.total_seconds = total.ElapsedSeconds();
 
   if (last_stats_.remedy.cancelled) result.status = cancel->StopStatus();
-  tag_degraded(last_stats_.remedy.uncorrected_mass);
+  AccuracyFor(config_, last_stats_.remedy.uncorrected_mass).ApplyTo(result);
   result.scores = std::move(scores);
   return result;
 }

@@ -50,6 +50,7 @@ class Fora : public SsrwrAlgorithm {
  public:
   Fora(const Graph& graph, const RwrConfig& config,
        const ForaOptions& options = {});
+  Fora(Graph&&, const RwrConfig&, const ForaOptions& = {}) = delete;
 
   const std::string& name() const override { return name_; }
 

@@ -36,6 +36,7 @@ class ForaPlus : public IndexedSsrwrAlgorithm {
  public:
   ForaPlus(const Graph& graph, const RwrConfig& config,
            const ForaPlusOptions& options = {});
+  ForaPlus(Graph&&, const RwrConfig&, const ForaPlusOptions& = {}) = delete;
 
   const std::string& name() const override { return name_; }
 

@@ -21,6 +21,7 @@ class ForwardSearchSolver : public SsrwrAlgorithm {
  public:
   ForwardSearchSolver(const Graph& graph, const RwrConfig& config,
                       Score r_max = 1e-12);
+  ForwardSearchSolver(Graph&&, const RwrConfig&, Score = 1e-12) = delete;
 
   const std::string& name() const override { return name_; }
 

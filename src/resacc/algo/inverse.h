@@ -26,6 +26,7 @@ class ExactInverse : public SsrwrAlgorithm {
   static constexpr NodeId kMaxNodes = 4096;
 
   ExactInverse(const Graph& graph, const RwrConfig& config);
+  ExactInverse(Graph&&, const RwrConfig&) = delete;
 
   const std::string& name() const override { return name_; }
 

@@ -33,7 +33,6 @@ ControlledQueryResult MonteCarlo::QueryControlled(NodeId source,
   RESACC_CHECK(num_walks > 0);
 
   ControlledQueryResult result;
-  result.achieved_epsilon = config_.epsilon;
   result.scores.assign(graph_.num_nodes(), 0.0);
   const Score weight = 1.0 / static_cast<Score>(num_walks);
   Rng query_rng = rng_.Fork(source);
@@ -48,12 +47,7 @@ ControlledQueryResult MonteCarlo::QueryControlled(NodeId source,
   if (engine_stats.cancelled) result.status = control.cancel->StopStatus();
   // MC is the remedy estimator with r_sum = 1: the skipped walk mass is
   // exactly the probability mass never deposited.
-  result.uncorrected_mass = engine_stats.skipped_mass;
-  if (result.uncorrected_mass > 0.0) {
-    result.degraded = true;
-    result.achieved_epsilon =
-        config_.epsilon + result.uncorrected_mass / config_.delta;
-  }
+  AccuracyFor(config_, engine_stats.skipped_mass).ApplyTo(result);
   return result;
 }
 

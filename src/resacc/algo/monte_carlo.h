@@ -26,6 +26,8 @@ class MonteCarlo : public SsrwrAlgorithm {
   // Scores are bit-identical for every value (walk_engine.h).
   MonteCarlo(const Graph& graph, const RwrConfig& config,
              double walk_scale = 1.0, std::size_t walk_threads = 1);
+  MonteCarlo(Graph&&, const RwrConfig&, double = 1.0,
+             std::size_t = 1) = delete;
 
   const std::string& name() const override { return name_; }
 

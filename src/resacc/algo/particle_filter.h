@@ -34,6 +34,8 @@ class ParticleFilter : public SsrwrAlgorithm {
  public:
   ParticleFilter(const Graph& graph, const RwrConfig& config,
                  const ParticleFilterOptions& options = {});
+  ParticleFilter(Graph&&, const RwrConfig&,
+                 const ParticleFilterOptions& = {}) = delete;
 
   const std::string& name() const override { return name_; }
 

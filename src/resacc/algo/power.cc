@@ -1,5 +1,7 @@
 #include "resacc/algo/power.h"
 
+#include "resacc/core/power_iter.h"
+#include "resacc/core/push_state.h"
 #include "resacc/util/check.h"
 
 namespace resacc {
@@ -14,54 +16,22 @@ PowerIteration::PowerIteration(const Graph& graph, const RwrConfig& config,
       name_("Power") {
   RESACC_CHECK(config_.Validate().ok());
   RESACC_CHECK(tolerance_ > 0.0);
+  RESACC_CHECK(max_iterations_ > 0);
 }
 
 std::vector<Score> PowerIteration::Query(NodeId source) {
   RESACC_CHECK(source < graph_.num_nodes());
-  const NodeId n = graph_.num_nodes();
-  const double alpha = config_.alpha;
-
-  std::vector<Score> scores(n, 0.0);
-  std::vector<Score> alive(n, 0.0);
-  std::vector<Score> next(n, 0.0);
-  alive[source] = 1.0;
-  Score alive_sum = 1.0;
-
-  std::uint32_t iteration = 0;
-  for (; iteration < max_iterations_ && alive_sum > tolerance_; ++iteration) {
-    std::fill(next.begin(), next.end(), 0.0);
-    Score next_sum = 0.0;
-    for (NodeId u = 0; u < n; ++u) {
-      const Score mass = alive[u];
-      if (mass == 0.0) continue;
-      const auto neighbors = graph_.OutNeighbors(u);
-      if (neighbors.empty()) {
-        if (config_.dangling == DanglingPolicy::kAbsorb) {
-          // Walk stuck at a sink terminates there with probability 1.
-          scores[u] += mass;
-        } else {
-          scores[u] += alpha * mass;
-          const Score fly = (1.0 - alpha) * mass;
-          next[source] += fly;
-          next_sum += fly;
-        }
-        continue;
-      }
-      scores[u] += alpha * mass;
-      const Score share =
-          (1.0 - alpha) * mass / static_cast<Score>(neighbors.size());
-      for (NodeId v : neighbors) next[v] += share;
-      next_sum += (1.0 - alpha) * mass;
-    }
-    alive.swap(next);
-    alive_sum = next_sum;
-  }
-
-  // Converged-by-construction: the leftover alive mass (< tolerance) is an
-  // additive error; distribute it by termination so sum(scores) stays 1.
-  for (NodeId u = 0; u < n; ++u) scores[u] += alive[u];
-
-  last_iterations_ = iteration;
+  // The hybrid solvers' dense sweep, fed a unit impulse at the source
+  // instead of drained residues.
+  PushState impulse(graph_.num_nodes());
+  impulse.SetResidue(source, 1.0);
+  HybridOptions sweep;
+  sweep.tolerance = tolerance_;
+  sweep.max_iterations = max_iterations_;
+  std::vector<Score> scores(graph_.num_nodes(), 0.0);
+  last_iterations_ =
+      RunDensePowerIter(graph_, config_, source, impulse, scores, sweep)
+          .iterations;
   return scores;
 }
 

@@ -20,11 +20,17 @@ namespace resacc {
 // synchronous whole-graph forward push. After round k the unconverted mass
 // is (1 - alpha)^k(+ policy effects), so the L1 error is below
 // `tolerance` once the alive mass drops under it — that residual mass is
-// the additive error bound the paper's Table I lists for Power.
+// the additive error bound the paper's Table I lists for Power. The sweep
+// is the hybrid solvers' dense path (core/power_iter.h RunDensePowerIter)
+// started from a unit impulse at the source; the library has one copy of
+// the recurrence.
 class PowerIteration : public SsrwrAlgorithm {
  public:
+  // `max_iterations` must be > 0.
   PowerIteration(const Graph& graph, const RwrConfig& config,
                  double tolerance = 1e-9, std::uint32_t max_iterations = 10000);
+  PowerIteration(Graph&&, const RwrConfig&, double = 1e-9,
+                 std::uint32_t = 10000) = delete;
 
   const std::string& name() const override { return name_; }
 

@@ -43,6 +43,7 @@ class TopPpr : public SsrwrAlgorithm {
  public:
   TopPpr(const Graph& graph, const RwrConfig& config,
          const TopPprOptions& options = {});
+  TopPpr(Graph&&, const RwrConfig&, const TopPprOptions& = {}) = delete;
 
   const std::string& name() const override { return name_; }
 

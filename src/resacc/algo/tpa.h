@@ -33,6 +33,7 @@ class Tpa : public IndexedSsrwrAlgorithm {
  public:
   Tpa(const Graph& graph, const RwrConfig& config,
       const TpaOptions& options = {});
+  Tpa(Graph&&, const RwrConfig&, const TpaOptions& = {}) = delete;
 
   const std::string& name() const override { return name_; }
 

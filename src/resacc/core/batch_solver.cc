@@ -1,15 +1,13 @@
 #include "resacc/core/batch_solver.h"
 
 #include <algorithm>
-#include <cmath>
 #include <type_traits>
 #include <utility>
 
 #include "resacc/core/forward_push.h"
 #include "resacc/core/h_hop_fwd.h"
 #include "resacc/core/power_iter.h"
-#include "resacc/core/remedy.h"
-#include "resacc/core/topk_solve.h"
+#include "resacc/graph/hop_layers.h"
 #include "resacc/util/check.h"
 #include "resacc/util/timer.h"
 
@@ -86,61 +84,11 @@ BatchSolver::BatchSolver(const Graph& graph, const RwrConfig& config,
                          const ResAccOptions& options)
     : graph_(graph),
       config_(config),
-      backend_(Backend::kResAcc),
-      resacc_options_(options),
-      walk_scale_(options.walk_scale),
+      pipeline_(graph, config, options),
       name_("BatchResAcc"),
       frontier_(graph.num_nodes()),
       scratch_(graph.num_nodes()),
-      seed_frontier_(graph.num_nodes()),
-      rng_(config.seed),
-      walk_engine_(options.walk_threads) {
-  RESACC_CHECK(config_.Validate().ok());
-  RESACC_CHECK(resacc_options_.r_max_hop > 0.0);
-  r_max_f_ = options.r_max_f > 0.0
-                 ? options.r_max_f
-                 : 1.0 / (10.0 * static_cast<Score>(graph.num_edges()));
-}
-
-BatchSolver::BatchSolver(const Graph& graph, const RwrConfig& config,
-                         const ForaOptions& options)
-    : graph_(graph),
-      config_(config),
-      backend_(Backend::kFora),
-      fora_options_(options),
-      walk_scale_(options.walk_scale),
-      name_("BatchFORA"),
-      frontier_(graph.num_nodes()),
-      scratch_(graph.num_nodes()),
-      seed_frontier_(graph.num_nodes()),
-      rng_(config.seed),
-      walk_engine_(options.walk_threads) {
-  RESACC_CHECK(config_.Validate().ok());
-  if (options.r_max > 0.0) {
-    fora_r_max_ = options.r_max;
-  } else {
-    const double c = config_.WalkCountCoefficient();
-    fora_r_max_ =
-        1.0 / std::sqrt(static_cast<double>(graph_.num_edges()) * c);
-  }
-}
-
-BatchSolver::BatchSolver(const Graph& graph, const RwrConfig& config,
-                         const MonteCarloBatchOptions& options)
-    : graph_(graph),
-      config_(config),
-      backend_(Backend::kMonteCarlo),
-      mc_options_(options),
-      walk_scale_(options.walk_scale),
-      name_("BatchMC"),
-      frontier_(graph.num_nodes()),
-      scratch_(graph.num_nodes()),
-      seed_frontier_(graph.num_nodes()),
-      rng_(config.seed),
-      walk_engine_(options.walk_threads) {
-  RESACC_CHECK(config_.Validate().ok());
-  RESACC_CHECK(walk_scale_ > 0.0);
-}
+      seed_frontier_(graph.num_nodes()) {}
 
 std::vector<ControlledQueryResult> BatchSolver::QueryBatch(
     std::span<const BatchLane> lanes, std::vector<TopKResult>* topk_results) {
@@ -154,7 +102,6 @@ std::vector<ControlledQueryResult> BatchSolver::QueryBatch(
   if (topk_results != nullptr) {
     topk_results->assign(lanes.size(), TopKResult{});
   }
-  topk_out_ = any_topk ? topk_results : nullptr;
   last_stats_ = BatchQueryStats();
   num_lanes_ = lanes.size();
   // Residue + reserve panels; beyond ~2x the L2 size the row fetches miss
@@ -163,41 +110,12 @@ std::vector<ControlledQueryResult> BatchSolver::QueryBatch(
   prefetch_ = static_cast<std::size_t>(graph_.num_nodes()) * lanes.size() *
                   sizeof(Score) * 2 >
               kPrefetchPanelBytes;
-  full_mask_ = num_lanes_ == kMaxLanes
-                   ? ~LaneMask{0}
-                   : ((LaneMask{1} << num_lanes_) - 1);
   detached_mask_ = 0;
   dense_mask_ = 0;
 
   std::vector<ControlledQueryResult> results(num_lanes_);
-  switch (backend_) {
-    case Backend::kResAcc:
-      state_.Configure(graph_.num_nodes(), num_lanes_);
-      RunResAccBatch(lanes, results);
-      break;
-    case Backend::kFora:
-      state_.Configure(graph_.num_nodes(), num_lanes_);
-      RunForaBatch(lanes, results);
-      break;
-    case Backend::kMonteCarlo:
-      RunMonteCarloBatch(lanes, results);
-      break;
-  }
-  // FORA/MC have no bound-certificate machinery; their top-k lanes mirror
-  // the serial SsrwrAlgorithm::QueryTopK default — the full solve above
-  // (bit-identical to serial) bracketed at its achieved epsilon.
-  if (topk_out_ != nullptr && backend_ != Backend::kResAcc) {
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      if (lanes[i].top_k == 0) continue;
-      TopKResult& tk = (*topk_out_)[i];
-      tk = MakeApproximateTopK(results[i].scores, lanes[i].top_k,
-                               results[i].achieved_epsilon,
-                               results[i].degraded,
-                               results[i].uncorrected_mass);
-      tk.status = results[i].status;
-    }
-  }
-  topk_out_ = nullptr;
+  state_.Configure(graph_.num_nodes(), num_lanes_);
+  RunResAccBatch(lanes, results, topk_results);
   return results;
 }
 
@@ -433,26 +351,6 @@ void BatchSolver::ApplyPush(NodeId u, LaneMask gate, Score r_max,
   }
 }
 
-void BatchSolver::ProcessSeedRound(std::size_t b, bool unconditional,
-                                   Score r_max, std::span<LaneRun> runs,
-                                   BatchFrontier& frontier) {
-  LaneRun& run = runs[b];
-  const LaneMask bit = LaneMask{1} << b;
-  std::uint64_t pops = 0;
-  for (NodeId s : run.seeds) {
-    // Consume the lane's seed bit even when the lane is detached, so no
-    // stale mask survives the round.
-    if (frontier.TakeSeed(s, bit) == 0) continue;
-    if (run.detached) continue;
-    if ((++pops & 0x1FF) == 0) {
-      PollLanes(runs);
-      if (run.detached) continue;
-    }
-    if (!unconditional && !LaneCond(s, b, r_max)) continue;
-    ApplyPush(s, bit, r_max, runs, &frontier);
-  }
-}
-
 void BatchSolver::SharedRounds(Score r_max, std::span<LaneRun> runs,
                                BatchFrontier& frontier) {
   // Walk-engine software pipelining, extended to push. The average pop
@@ -468,7 +366,7 @@ void BatchSolver::SharedRounds(Score r_max, std::span<LaneRun> runs,
   constexpr std::size_t kRowAhead = 12;
   constexpr std::size_t kDepositAhead = 3;
   constexpr std::size_t kDepositFanout = 16;
-  // Hybrid selection point 2 (ResAcc backend only): the serial solver's
+  // Hybrid selection point 2: the serial solver's
   // OMFWD round hook compares the remedy cost of the outstanding residues
   // against the dense bound at every wavefront promotion. A lane's
   // promotion point in the shared sweep is its first pop of each round
@@ -478,9 +376,8 @@ void BatchSolver::SharedRounds(Score r_max, std::span<LaneRun> runs,
   // decision. A lane that switches is masked out from this pop on, exactly
   // where the serial search would have stopped (before the popped node's
   // gate re-check).
-  const bool hybrid_on = backend_ == Backend::kResAcc &&
-                         resacc_options_.hybrid.enable &&
-                         resacc_options_.use_hop_subgraph;
+  const ResAccOptions& options = pipeline_.options();
+  const bool hybrid_on = options.hybrid.enable && options.use_hop_subgraph;
   std::size_t lane_round[kMaxLanes] = {};
   std::uint64_t pops = 0;
   NodeId u = 0;
@@ -496,8 +393,8 @@ void BatchSolver::SharedRounds(Score r_max, std::span<LaneRun> runs,
         const std::size_t b = BatchPushState::LaneOf(m);
         if (lane_round[b] == round) continue;
         lane_round[b] = round;
-        if (DenseBeatsRemedy(graph_, config_, resacc_options_.hybrid,
-                             state_.LaneResidueSum(b), walk_scale_)) {
+        if (DenseBeatsRemedy(graph_, config_, options.hybrid,
+                             state_.LaneResidueSum(b), options.walk_scale)) {
           runs[b].path = SolverPath::kDenseResidueMass;
           dense_mask_ |= LaneMask{1} << b;
           mask &= ~(LaneMask{1} << b);
@@ -552,95 +449,7 @@ void BatchSolver::SharedRounds(Score r_max, std::span<LaneRun> runs,
   }
 }
 
-void BatchSolver::FinishLane(std::size_t b, LaneRun& run,
-                             double remedy_budget_seconds,
-                             ControlledQueryResult& result, TopKResult* topk) {
-  if (topk != nullptr && run.top_k > 0) {
-    FinishLaneTopK(b, run, result, *topk);
-    return;
-  }
-  if (backend_ == Backend::kResAcc && resacc_options_.hybrid.enable) {
-    RecordHybridSelection(run.path);
-  }
-  if (!run.detached && run.path != SolverPath::kLocal) {
-    // Dense lane: bridge reserves AND residues into the scratch state in
-    // the lane's serial touched order, then run the exact dense finish the
-    // serial QueryControlled calls — the sweep itself is RNG-free and runs
-    // in fixed CSR order, so the lane's payload is bit-identical to the
-    // serial solve at any lane count.
-    scratch_.Reset();
-    const auto dense_nodes = state_.lane_touched(b);
-    for (std::size_t i = 0; i < dense_nodes.size(); ++i) {
-      if (i + 8 < dense_nodes.size()) {
-        __builtin_prefetch(state_.ResidueRow(dense_nodes[i + 8]) + b, 0, 1);
-        __builtin_prefetch(state_.ReserveRow(dense_nodes[i + 8]) + b, 0, 1);
-      }
-      const NodeId v = dense_nodes[i];
-      scratch_.SetResidue(v, state_.ResidueRow(v)[b]);
-      scratch_.AddReserve(v, state_.ReserveRow(v)[b]);
-    }
-    DenseFinish dense = RunDenseFinish(graph_, config_, run.source, scratch_,
-                                       resacc_options_.hybrid, run.cancel);
-    result.scores = std::move(dense.scores);
-    result.degraded = dense.degraded;
-    result.uncorrected_mass = dense.uncorrected_mass;
-    result.achieved_epsilon = dense.achieved_epsilon;
-    if (dense.stats.cancelled) result.status = run.cancel->StopStatus();
-    return;
-  }
-  result.achieved_epsilon = config_.epsilon;
-  result.scores.assign(graph_.num_nodes(), 0.0);
-  const auto lane_nodes = state_.lane_touched(b);
-  for (std::size_t i = 0; i < lane_nodes.size(); ++i) {
-    if (i + 8 < lane_nodes.size()) {
-      __builtin_prefetch(state_.ReserveRow(lane_nodes[i + 8]) + b, 0, 1);
-    }
-    const NodeId v = lane_nodes[i];
-    result.scores[v] = state_.ReserveRow(v)[b];
-  }
-  Score uncorrected = 0.0;
-  if (run.detached) {
-    result.status = run.status;
-    // A lane stopped before r(s) = 1 was planted computed nothing: the
-    // whole unit of probability mass is unconverted (serial DOA path).
-    uncorrected = run.initialized ? state_.LaneResidueSum(b) : 1.0;
-  } else {
-    // Bridge lane b into a scratch PushState in the lane's serial touched
-    // order: remedy builds walk slices in touched order and sums r_sum the
-    // same way, so this reproduces the serial remedy bit for bit.
-    scratch_.Reset();
-    for (std::size_t i = 0; i < lane_nodes.size(); ++i) {
-      if (i + 8 < lane_nodes.size()) {
-        __builtin_prefetch(state_.ResidueRow(lane_nodes[i + 8]) + b, 0, 1);
-      }
-      const NodeId v = lane_nodes[i];
-      scratch_.SetResidue(v, state_.ResidueRow(v)[b]);
-    }
-    Rng query_rng = rng_.Fork(run.source);
-    const RemedyStats remedy = RunRemedy(
-        graph_, config_, run.source, scratch_, query_rng,
-        result.scores, walk_scale_, remedy_budget_seconds, &walk_engine_,
-        run.cancel);
-    if (remedy.cancelled) result.status = run.cancel->StopStatus();
-    uncorrected = remedy.uncorrected_mass;
-  }
-  result.uncorrected_mass = uncorrected;
-  if (uncorrected > 0.0) {
-    result.degraded = true;
-    result.achieved_epsilon =
-        config_.epsilon + uncorrected / config_.delta;
-  }
-}
-
-void BatchSolver::FinishLaneTopK(std::size_t b, LaneRun& run,
-                                 ControlledQueryResult& result,
-                                 TopKResult& topk) {
-  // Bridge lane b's reserves AND residues into the scratch PushState in
-  // the lane's serial touched order — bit-identical to the state the
-  // serial QueryTopK holds after its push phases — then run the exact
-  // same finish (separation check, refinement, certified skip or remedy
-  // fallback). Determinism of SolveTopKFromState in the state alone is
-  // what makes batched top-k bit-identical to serial.
+void BatchSolver::BridgeLane(std::size_t b, const LaneRun& run) {
   scratch_.Reset();
   const auto lane_nodes = state_.lane_touched(b);
   for (std::size_t i = 0; i < lane_nodes.size(); ++i) {
@@ -652,45 +461,14 @@ void BatchSolver::FinishLaneTopK(std::size_t b, LaneRun& run,
     scratch_.SetResidue(v, state_.ResidueRow(v)[b]);
     scratch_.AddReserve(v, state_.ReserveRow(v)[b]);
   }
-  if (resacc_options_.hybrid.enable) RecordHybridSelection(run.path);
-  if (!run.detached && run.path != SolverPath::kLocal) {
-    // Dense top-k lane, the serial QueryTopK dense branch verbatim: the
-    // full dense vector is exact to an additive eps*delta, so its top-k
-    // prefix with the standard epsilon-relative brackets is a valid
-    // certificate at the configured epsilon.
-    DenseFinish dense = RunDenseFinish(graph_, config_, run.source, scratch_,
-                                       resacc_options_.hybrid, run.cancel);
-    topk = MakeApproximateTopK(dense.scores, run.top_k,
-                               dense.achieved_epsilon, dense.degraded,
-                               dense.uncorrected_mass);
-    if (dense.stats.cancelled) topk.status = run.cancel->StopStatus();
-    result.status = topk.status;
-    result.degraded = topk.degraded;
-    result.uncorrected_mass = topk.uncorrected_mass;
-    result.achieved_epsilon = topk.achieved_epsilon;
-    return;
-  }
-  Status push_status;
-  if (run.detached) {
-    push_status = run.status;
-    // Serial DOA path: nothing ran, the unit of mass still sits on the
-    // source.
-    if (!run.initialized) scratch_.SetResidue(run.source, 1.0);
-  }
-  Rng query_rng = rng_.Fork(run.source);
-  topk = SolveTopKFromState(graph_, config_, run.source, run.top_k, r_max_f_,
-                            walk_scale_, resacc_options_.topk, scratch_,
-                            query_rng, &walk_engine_, run.cancel, push_status);
-  // Mirror the tags into the lane's ControlledQueryResult row so callers'
-  // uniform status/epsilon accounting keeps working; scores stay empty.
-  result.status = topk.status;
-  result.degraded = topk.degraded;
-  result.uncorrected_mass = topk.uncorrected_mass;
-  result.achieved_epsilon = topk.achieved_epsilon;
+  // A lane stopped before its h-HopFWD ran is dead on arrival: the whole
+  // unit of mass still sits on the source, as in the serial solver.
+  if (!run.initialized) scratch_.SetResidue(run.source, 1.0);
 }
 
 void BatchSolver::RunResAccBatch(std::span<const BatchLane> lanes,
-                                 std::vector<ControlledQueryResult>& results) {
+                                 std::vector<ControlledQueryResult>& results,
+                                 std::vector<TopKResult>* topk_results) {
   const std::size_t B = num_lanes_;
   frontier_.Clear();
   Timer phase_timer;
@@ -715,40 +493,22 @@ void BatchSolver::RunResAccBatch(std::span<const BatchLane> lanes,
   // once, in the lane's serial touched order, and the lane's staged
   // round-1 set feeds the shared frontier. The shared union rounds take
   // over from round 1, where the whole-graph wavefronts do overlap.
-  HHopFwdOptions hop_options;
-  hop_options.r_max_hop = resacc_options_.use_hop_subgraph
-                              ? resacc_options_.r_max_hop
-                              : r_max_f_;
-  hop_options.num_hops = resacc_options_.num_hops;
-  hop_options.use_loop_accumulation = resacc_options_.use_loop_accumulation;
-  hop_options.use_hop_subgraph = resacc_options_.use_hop_subgraph;
-  hop_options.max_hop_set_fraction = resacc_options_.max_hop_set_fraction;
-  // Hybrid selection point 1 per lane, the serial RunPushPhases probe
-  // verbatim: the decision is a pure function of the BFS-derived stats
-  // (same RunHHopFwd on the same scratch state), so a lane selects the
-  // dense path exactly when its serial replay would.
-  const bool hybrid_on =
-      resacc_options_.hybrid.enable && resacc_options_.use_hop_subgraph;
+  const ResAccOptions& options = pipeline_.options();
+  const Score r_max_f = pipeline_.r_max_f();
   double hop_seconds = 0.0;
   for (std::size_t b = 0; b < B; ++b) {
     LaneRun& run = runs[b];
     if (run.detached) continue;
-    hop_options.cancel = run.cancel;
-    if (hybrid_on) {
-      hop_options.dense_probe = [&](const HHopFwdStats& hop_stats) {
-        const SolverPath choice = ChooseFromHopStats(
-            graph_, config_, resacc_options_.hybrid, hop_options.r_max_hop,
-            hop_stats.shrink_floored,
-            static_cast<double>(hop_stats.hop_set_edges));
-        if (choice == SolverPath::kLocal) return false;
-        run.path = choice;
-        return true;
-      };
-    }
     const double lane_start = phase_timer.ElapsedSeconds();
     scratch_.Reset();
-    const HHopFwdStats hop_stats = RunHHopFwd(
-        graph_, config_, run.source, hop_options, scratch_, &run.layers);
+    HopLayers layers;
+    // The serial solver's own hop options, hybrid selection point 1
+    // included: the probe is a pure function of the BFS-derived stats, so
+    // a lane selects the dense path exactly when its serial replay would.
+    const HHopFwdStats hop_stats =
+        RunHHopFwd(graph_, config_, run.source,
+                   pipeline_.HopOptions(run.cancel, &run.path), scratch_,
+                   &layers);
     run.initialized = true;
     hop_seconds += phase_timer.ElapsedSeconds() - lane_start;
     if (hop_stats.shrink_hops > 0 || hop_stats.shrink_floored) {
@@ -756,11 +516,11 @@ void BatchSolver::RunResAccBatch(std::span<const BatchLane> lanes,
     }
     PollLanes(runs);  // serial phase-boundary check after this lane's hop
     if (!run.detached && run.path == SolverPath::kLocal &&
-        resacc_options_.use_omfwd && !run.layers.layers.empty()) {
-      run.seeds = run.layers.layers.back();
+        options.use_omfwd && !layers.layers.empty()) {
+      std::vector<NodeId> seeds = layers.layers.back();
       // Algorithm 4 line 1: decreasing residue (this lane's residues),
       // ties broken by id.
-      std::sort(run.seeds.begin(), run.seeds.end(),
+      std::sort(seeds.begin(), seeds.end(),
                 [&](NodeId x, NodeId y) {
                   const Score rx = scratch_.residue(x);
                   const Score ry = scratch_.residue(y);
@@ -772,7 +532,7 @@ void BatchSolver::RunResAccBatch(std::span<const BatchLane> lanes,
       // ForwardSearchLevelSync) on the serial Frontier, which stages this
       // lane's round-1 set.
       PushStats seed_stats;
-      for (NodeId s : run.seeds) seed_frontier_.Seed(s);
+      for (NodeId s : seeds) seed_frontier_.Seed(s);
       std::uint64_t pops = 0;
       NodeId s = 0;
       while (seed_frontier_.pending_count() > 0) {
@@ -783,12 +543,12 @@ void BatchSolver::RunResAccBatch(std::span<const BatchLane> lanes,
         }
         ForwardPushAt(graph_, config_, run.source, s, scratch_, seed_stats);
         for (NodeId v : graph_.OutNeighbors(s)) {
-          if (SatisfiesPushCondition(graph_, scratch_, v, r_max_f_)) {
+          if (SatisfiesPushCondition(graph_, scratch_, v, r_max_f)) {
             seed_frontier_.Schedule(v);
           }
         }
         if (config_.dangling == DanglingPolicy::kBackToSource &&
-            SatisfiesPushCondition(graph_, scratch_, run.source, r_max_f_)) {
+            SatisfiesPushCondition(graph_, scratch_, run.source, r_max_f)) {
           seed_frontier_.Schedule(run.source);
         }
       }
@@ -814,101 +574,35 @@ void BatchSolver::RunResAccBatch(std::span<const BatchLane> lanes,
     seed_frontier_.Clear();
     // A probe-selected dense lane carries exactly r(source) = 1 in its SoA
     // column and schedules nothing: the shared rounds never see it, and
-    // FinishLane power-iterates it from that clean unit of mass.
+    // the finish power-iterates it from that clean unit of mass.
     if (run.path != SolverPath::kLocal) dense_mask_ |= bit;
   }
   last_stats_.hop_seconds = hop_seconds;
 
   // ---- Phase 2b: the shared union rounds (>= 1) of OMFWD.
-  if (resacc_options_.use_omfwd) {
-    SharedRounds(r_max_f_, runs, frontier_);
+  if (options.use_omfwd) {
+    SharedRounds(r_max_f, runs, frontier_);
   }
 
   PollLanes(runs);  // serial phase-boundary check after OMFWD
   last_stats_.omfwd_seconds =
       phase_timer.ElapsedSeconds() - last_stats_.hop_seconds;
 
-  // ---- Phase 3: remedy, per lane (walks do not amortize across lanes).
-  // Top-k lanes take the bound-certificate finish instead.
+  // ---- Phase 3, per lane (walks do not amortize across lanes): bridge
+  // the lane into the scratch PushState in its serial touched order —
+  // bit-identical to the state the serial solver holds after its push
+  // phases — and run the serial solver's own finish on it.
   for (std::size_t b = 0; b < B; ++b) {
-    FinishLane(b, runs[b], /*remedy_budget_seconds=*/0.0, results[b],
-               topk_out_ != nullptr ? &(*topk_out_)[b] : nullptr);
+    LaneRun& run = runs[b];
+    BridgeLane(b, run);
+    results[b] = pipeline_.Finish(
+        run.source, run.top_k, run.detached ? run.status : Status::Ok(),
+        run.path, run.cancel, scratch_,
+        run.top_k > 0 ? &(*topk_results)[b] : nullptr, /*stats=*/nullptr);
   }
   last_stats_.remedy_seconds = phase_timer.ElapsedSeconds() -
                                last_stats_.hop_seconds -
                                last_stats_.omfwd_seconds;
-}
-
-void BatchSolver::RunForaBatch(std::span<const BatchLane> lanes,
-                               std::vector<ControlledQueryResult>& results) {
-  const std::size_t B = num_lanes_;
-  frontier_.Clear();
-  Timer total;
-  std::vector<LaneRun> runs(B);
-  for (std::size_t b = 0; b < B; ++b) {
-    runs[b].source = lanes[b].source;
-    runs[b].cancel = lanes[b].cancel;
-  }
-  PollLanes(runs);
-
-  for (std::size_t b = 0; b < B; ++b) {
-    LaneRun& run = runs[b];
-    if (run.detached) continue;
-    const LaneMask bit = LaneMask{1} << b;
-    state_.Touch(run.source, bit);
-    state_.ResidueRow(run.source)[b] = 1.0;
-    run.initialized = true;
-    run.seeds.assign(1, run.source);
-    frontier_.MarkSeed(run.source, bit);
-  }
-  for (std::size_t b = 0; b < B; ++b) {
-    ProcessSeedRound(b, /*unconditional=*/false, fora_r_max_, runs,
-                     frontier_);
-  }
-  SharedRounds(fora_r_max_, runs, frontier_);
-
-  PollLanes(runs);
-
-  for (std::size_t b = 0; b < B; ++b) {
-    double remaining_budget = 0.0;
-    if (fora_options_.time_budget_seconds > 0.0) {
-      // The budget covers the whole batch (the serial solver charges each
-      // query its own clock; a batch shares one).
-      remaining_budget =
-          fora_options_.time_budget_seconds - total.ElapsedSeconds();
-      if (remaining_budget <= 0.0) remaining_budget = 1e-9;
-    }
-    FinishLane(b, runs[b], remaining_budget, results[b]);
-  }
-}
-
-void BatchSolver::RunMonteCarloBatch(
-    std::span<const BatchLane> lanes,
-    std::vector<ControlledQueryResult>& results) {
-  const std::uint64_t num_walks = static_cast<std::uint64_t>(
-      std::ceil(config_.WalkCountCoefficient() * walk_scale_));
-  RESACC_CHECK(num_walks > 0);
-  for (std::size_t b = 0; b < lanes.size(); ++b) {
-    ControlledQueryResult& result = results[b];
-    result.achieved_epsilon = config_.epsilon;
-    result.scores.assign(graph_.num_nodes(), 0.0);
-    const Score weight = 1.0 / static_cast<Score>(num_walks);
-    Rng query_rng = rng_.Fork(lanes[b].source);
-    const WalkSlice slice{lanes[b].source, num_walks, weight,
-                          /*stream=*/lanes[b].source};
-    const WalkEngineStats engine_stats = walk_engine_.Run(
-        graph_, config_, lanes[b].source, query_rng, std::span(&slice, 1),
-        result.scores, /*time_budget_seconds=*/0.0, lanes[b].cancel);
-    if (engine_stats.cancelled) {
-      result.status = lanes[b].cancel->StopStatus();
-    }
-    result.uncorrected_mass = engine_stats.skipped_mass;
-    if (result.uncorrected_mass > 0.0) {
-      result.degraded = true;
-      result.achieved_epsilon =
-          config_.epsilon + result.uncorrected_mass / config_.delta;
-    }
-  }
 }
 
 }  // namespace resacc

@@ -8,17 +8,13 @@
 #include <string>
 #include <vector>
 
-#include "resacc/algo/fora.h"
 #include "resacc/core/frontier.h"
 #include "resacc/core/push_state.h"
 #include "resacc/core/resacc_solver.h"
 #include "resacc/core/ssrwr_algorithm.h"
-#include "resacc/core/walk_engine.h"
 #include "resacc/graph/graph.h"
-#include "resacc/graph/hop_layers.h"
 #include "resacc/util/cancellation.h"
 #include "resacc/util/huge_array.h"
-#include "resacc/util/rng.h"
 
 namespace resacc {
 
@@ -34,12 +30,6 @@ struct BatchLane {
   std::size_t top_k = 0;
 };
 
-// Options of the Monte-Carlo batch backend (mirrors the MonteCarlo ctor).
-struct MonteCarloBatchOptions {
-  double walk_scale = 1.0;
-  std::size_t walk_threads = 1;
-};
-
 // Aggregate diagnostics of the most recent QueryBatch call.
 struct BatchQueryStats {
   std::uint64_t push_operations = 0;  // lane pushes, summed over lanes
@@ -50,7 +40,7 @@ struct BatchQueryStats {
   std::uint64_t shared_node_pops = 0;
   // Lane pushes served by the dense all-lanes kernel (the vectorized path).
   std::uint64_t dense_lane_pushes = 0;
-  // Wall-clock phase split of the ResAcc backend (zero for FORA/MC).
+  // Wall-clock phase split.
   double hop_seconds = 0.0;
   double omfwd_seconds = 0.0;
   double remedy_seconds = 0.0;
@@ -135,19 +125,25 @@ class BatchPushState {
   std::size_t num_lanes_ = 0;
 };
 
-// Batched multi-source solver: runs up to kMaxLanes sources through ONE
-// shared frontier sweep per phase, so each CSR row read during the shared
-// rounds serves every lane that scheduled the node, and the per-lane
-// residue updates run as contiguous compiler-vectorized loops over the SoA
-// lanes. Backends: the full ResAcc pipeline (default), FORA, and Monte
-// Carlo (per-lane; walks do not amortize).
+// Batched multi-source ResAcc solver: runs up to kMaxLanes sources through
+// ONE shared frontier sweep per OMFWD round, so each CSR row read during
+// the shared rounds serves every lane that scheduled the node, and the
+// per-lane residue updates run as contiguous compiler-vectorized loops
+// over the SoA lanes. Everything around the shared rounds is the serial
+// solver's own code: each lane runs h-HopFWD and its OMFWD seed round
+// serially, and finishes through ResAccPipeline::Finish — the one finish
+// ResAccSolver::QueryControlled and QueryTopK call — after one bridge of
+// the lane's column into a scratch PushState. Only ResAcc batches: serving
+// never batches another solver, so there are no FORA or Monte-Carlo lanes.
+// QueryService still sends a lone job to ResAccSolver, because a 1-lane
+// batch pays for the lane masks, screens and transplants without sharing
+// a row read, and runs slower than the serial solver.
 //
 // Contract (the tentpole guarantees):
-//  * Per-source results are BIT-IDENTICAL to the corresponding serial
-//    solver (ResAccSolver / Fora / MonteCarlo with the same graph, config
-//    and options) for every lane that runs to completion. Each lane's
-//    floating-point operation sequence is replayed exactly — see
-//    frontier.h's round discipline and DESIGN.md "Batched solving".
+//  * Per-source results are BIT-IDENTICAL to ResAccSolver with the same
+//    graph, config and options for every lane that runs to completion.
+//    Each lane's floating-point operation sequence is replayed exactly —
+//    see frontier.h's round discipline and DESIGN.md "Batched solving".
 //  * Each lane carries its own epsilon accounting: a complete lane reports
 //    the configured epsilon (Definition 1 holds per source); a detached
 //    lane reports epsilon + uncorrected_mass / delta, exactly like a
@@ -156,21 +152,15 @@ class BatchPushState {
 //    other lanes (its pending work is masked out; the survivors' operation
 //    sequences are unchanged).
 //
-// Like the serial solvers, an instance is bound to one graph and is NOT
+// Like the serial solver, an instance is bound to one graph and is NOT
 // thread-safe; give each serve worker its own instance.
 class BatchSolver {
  public:
   static constexpr std::size_t kMaxLanes = BatchFrontier::kMaxLanes;
 
-  // ResAcc backend (the default pipeline: h-HopFWD + OMFWD + remedy).
   BatchSolver(const Graph& graph, const RwrConfig& config,
               const ResAccOptions& options = {});
-  // FORA backend (forward push + remedy).
-  BatchSolver(const Graph& graph, const RwrConfig& config,
-              const ForaOptions& options);
-  // Monte-Carlo backend.
-  BatchSolver(const Graph& graph, const RwrConfig& config,
-              const MonteCarloBatchOptions& options);
+  BatchSolver(Graph&&, const RwrConfig&, const ResAccOptions& = {}) = delete;
 
   const std::string& name() const { return name_; }
 
@@ -180,11 +170,9 @@ class BatchSolver {
   //
   // Lanes with top_k > 0 require a non-null `topk_results` (resized and
   // indexed like `lanes`); each such lane gets the serial QueryTopK's
-  // bit-identical TopKResult — the ResAcc backend bridges the lane's
-  // post-OMFWD state into the shared SolveTopKFromState finish, the
-  // FORA/MC backends mirror their serial default (full solve + bracket) —
-  // and its ControlledQueryResult carries only the status/epsilon tags
-  // (scores left empty). Full-vector lanes leave their TopKResult empty.
+  // bit-identical TopKResult, and its ControlledQueryResult carries only
+  // the status/epsilon tags (scores left empty). Full-vector lanes leave
+  // their TopKResult empty.
   std::vector<ControlledQueryResult> QueryBatch(
       std::span<const BatchLane> lanes,
       std::vector<TopKResult>* topk_results = nullptr);
@@ -197,7 +185,6 @@ class BatchSolver {
   const BatchQueryStats& last_stats() const { return last_stats_; }
 
  private:
-  enum class Backend { kResAcc, kFora, kMonteCarlo };
   using LaneMask = BatchFrontier::LaneMask;
 
   // Per-lane working data of one QueryBatch call.
@@ -205,23 +192,19 @@ class BatchSolver {
     NodeId source = 0;
     const CancellationToken* cancel = nullptr;
     std::size_t top_k = 0;            // > 0: top-k lane
-    HopLayers layers;                 // h-hop decomposition (OMFWD seeds)
-    std::vector<NodeId> seeds;        // current phase's per-lane seed list
     bool initialized = false;         // r(source) = 1 has been planted
     bool detached = false;
     Status status;
     // Hybrid selection outcome of this lane (core/power_iter.h): a dense
-    // lane skips the shared rounds and remedy; FinishLane hands its
-    // bridged state to the same RunDenseFinish the serial solver calls.
+    // lane skips the shared rounds, and the finish power-iterates it.
     SolverPath path = SolverPath::kLocal;
   };
 
+  // The pipeline behind QueryBatch; fills `results` and, for top-k
+  // lanes, `topk_results`.
   void RunResAccBatch(std::span<const BatchLane> lanes,
-                      std::vector<ControlledQueryResult>& results);
-  void RunForaBatch(std::span<const BatchLane> lanes,
-                    std::vector<ControlledQueryResult>& results);
-  void RunMonteCarloBatch(std::span<const BatchLane> lanes,
-                          std::vector<ControlledQueryResult>& results);
+                      std::vector<ControlledQueryResult>& results,
+                      std::vector<TopKResult>* topk_results);
 
   // Polls every live lane's token and detaches the fired ones.
   void PollLanes(std::span<LaneRun> runs);
@@ -248,36 +231,21 @@ class BatchSolver {
   void ScheduleLanes(NodeId v, const Score* rv, LaneMask candidates,
                      Score r_max, BatchFrontier& frontier);
 
-  // Processes lane b's round 0 (its private seed order), consuming the
-  // lane's seed bits even when the lane is detached.
-  void ProcessSeedRound(std::size_t b, bool unconditional, Score r_max,
-                        std::span<LaneRun> runs, BatchFrontier& frontier);
-
   // Drains the shared union rounds (>= 1) at threshold `r_max`.
   void SharedRounds(Score r_max, std::span<LaneRun> runs,
                     BatchFrontier& frontier);
 
-  // Remedy + result assembly for one lane (bridges the lane's state into a
-  // scratch PushState in the lane's serial touched order). A non-null
-  // `topk` routes a ResAcc top-k lane through FinishLaneTopK instead.
-  void FinishLane(std::size_t b, LaneRun& run, double remedy_budget_seconds,
-                  ControlledQueryResult& result, TopKResult* topk = nullptr);
-
-  // Top-k finish of a ResAcc lane: bridges reserves AND residues into the
-  // scratch state (same serial touched order) and hands it to the exact
-  // function the serial QueryTopK calls — bit-identity by construction.
-  void FinishLaneTopK(std::size_t b, LaneRun& run,
-                      ControlledQueryResult& result, TopKResult& topk);
+  // Copies lane b's reserves and residues into scratch_ in the lane's
+  // serial touched order — the PushState the serial solver would hold
+  // after its push phases, r(source) = 1 for a lane dead on arrival.
+  // Remedy builds walk slices in touched order and every r_sum is summed
+  // in it, so this order is what keeps the finish bit-identical.
+  void BridgeLane(std::size_t b, const LaneRun& run);
 
   const Graph& graph_;
   RwrConfig config_;
-  Backend backend_;
-  ResAccOptions resacc_options_;
-  ForaOptions fora_options_;
-  MonteCarloBatchOptions mc_options_;
-  Score r_max_f_ = 0.0;      // ResAcc OMFWD threshold (default applied)
-  Score fora_r_max_ = 0.0;   // FORA push threshold (default applied)
-  double walk_scale_ = 1.0;
+  // Options, hop-phase set-up and finish, shared with the serial solver.
+  ResAccPipeline pipeline_;
   std::string name_;
 
   BatchPushState state_;
@@ -285,25 +253,20 @@ class BatchSolver {
   // Per-lane scratch: hosts the lane-local serial h-HopFWD run and OMFWD
   // round 0 (neither overlaps across lanes, so both run at serial speed on
   // the flat L2-resident state and are transplanted into the SoA once) and
-  // later the bridge into RunRemedy.
+  // later each lane's bridge into the finish.
   PushState scratch_;
   // Serial work list for the lane-local OMFWD round 0: replays the serial
   // Frontier's exact seed-round scheduling semantics, then hands its
   // staged round-1 set to the shared frontier_.
   Frontier seed_frontier_;
-  Rng rng_;
-  WalkEngine walk_engine_;
   BatchQueryStats last_stats_;
 
   std::size_t num_lanes_ = 0;
-  LaneMask full_mask_ = 0;
   LaneMask detached_mask_ = 0;
   // Lanes the hybrid selector handed to the dense path: masked out of the
   // shared rounds exactly where the serial solver's round hook would have
-  // stopped its search (SharedRounds), finished densely in FinishLane.
+  // stopped its search (SharedRounds), finished densely.
   LaneMask dense_mask_ = 0;
-  // Per-call out-param for top-k lanes (null when the batch has none).
-  std::vector<TopKResult>* topk_out_ = nullptr;
   // Software prefetch is worth its issue slots only while the SoA panels
   // overflow the fast cache levels; small graphs run the kernels without
   // the prefetch stages. Set per QueryBatch from the panel footprint.

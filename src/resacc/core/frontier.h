@@ -121,10 +121,8 @@ class Frontier {
 //
 // Seeds are NOT routed through this class: seed order is per-lane (OMFWD
 // sorts each lane's frontier by that lane's residues), so the batch solver
-// processes each lane's round 0 itself — the ResAcc backend runs it
-// serially on flat scratch state and Schedule()s the resulting round-1 set
-// here (Next() promotes and sorts it), while the FORA backend uses
-// MarkSeed/TakeSeed to keep the masks consistent during its in-SoA round 0.
+// runs each lane's round 0 serially on flat scratch state and Schedule()s
+// the resulting round-1 set here (Next() promotes and sorts it).
 class BatchFrontier {
  public:
   using LaneMask = std::uint32_t;
@@ -132,21 +130,6 @@ class BatchFrontier {
 
   explicit BatchFrontier(NodeId num_nodes)
       : masks_(num_nodes, Masks{0, 0}) {}
-
-  // Marks `lanes`' bits of `v` as pending in round 0 without enqueuing it
-  // (the caller owns the per-lane seed lists and their order).
-  void MarkSeed(NodeId v, LaneMask lanes) {
-    RESACC_DCHECK(round_ == 0 && pos_ == 0);
-    masks_[v].current |= lanes;
-  }
-
-  // Consumes lane `lanes`' round-0 bits of `v`; returns the bits that were
-  // actually pending (0 for a duplicate seed already processed).
-  LaneMask TakeSeed(NodeId v, LaneMask lanes) {
-    const LaneMask taken = masks_[v].current & lanes;
-    masks_[v].current &= ~taken;
-    return taken;
-  }
 
   // Schedules `v` for the next round on the lanes of `lanes` that do not
   // already have it scheduled.

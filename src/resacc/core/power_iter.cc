@@ -173,10 +173,9 @@ PowerIterStats RunDensePowerIter(const Graph& graph, const RwrConfig& config,
   }
 
   PowerIterStats stats;
-  // Same recurrence as algo/power.cc::Query, seeded from residues instead
-  // of a unit impulse: each sweep converts alpha of the alive mass into
-  // scores and spreads the rest, so after convergence
-  // scores == reserves + sum_u r(u) pi_u up to the leftover mass.
+  // Each sweep converts alpha of the alive mass into scores and spreads
+  // the rest, so after convergence scores == reserves + sum_u r(u) pi_u up
+  // to the leftover mass.
   for (; stats.iterations < max_iterations && alive_sum > tolerance;
        ++stats.iterations) {
     if (cancel != nullptr && cancel->ShouldStop()) {
@@ -229,16 +228,10 @@ DenseFinish RunDenseFinish(const Graph& graph, const RwrConfig& config,
   for (NodeId v : state.touched()) out.scores[v] = state.reserve(v);
   out.stats = RunDensePowerIter(graph, config, source, state, out.scores,
                                 options, cancel);
-  out.achieved_epsilon = config.epsilon;
-  if (out.stats.cancelled) {
-    out.degraded = true;
-    out.uncorrected_mass = out.stats.leftover_mass;
-    // Same accounting as the local solver's finish: each unit of leftover
-    // mass adds <= that much absolute error, i.e. uncorrected/delta
-    // relative error on nodes above delta.
-    out.achieved_epsilon =
-        config.epsilon + out.uncorrected_mass / config.delta;
-  }
+  // A completed sweep's leftover (< tolerance) is the additive error
+  // Definition 1 absorbs; a cancelled sweep's is uncorrected mass.
+  AccuracyFor(config, out.stats.cancelled ? out.stats.leftover_mass : 0.0)
+      .ApplyTo(out);
   return out;
 }
 

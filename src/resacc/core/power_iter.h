@@ -83,10 +83,11 @@ double RemedyCost(const RwrConfig& config, Score residue_sum,
 // Selection point 1 (after the hop-layer BFS, before any push): choose the
 // dense path when the adaptive cap bottomed out at its 1-hop floor with
 // the hop set still over the cap, or when the hop set's edge count makes
-// the accumulating phase alone beat cost_ratio x the dense bound. Both
-// ResAccSolver and BatchSolver call this from their dense_probe hooks with
-// identical inputs, so a batched lane selects exactly like its serial
-// replay. Returns kLocal to continue locally.
+// the accumulating phase alone beat cost_ratio x the dense bound. Serial
+// queries and batched lanes call this from the one dense_probe
+// ResAccPipeline::HopOptions builds, with identical inputs, so a batched
+// lane selects exactly like its serial replay. Returns kLocal to continue
+// locally.
 SolverPath ChooseFromHopStats(const Graph& graph, const RwrConfig& config,
                               const HybridOptions& options, Score r_max_hop,
                               bool shrink_floored, double hop_set_edges);
@@ -103,27 +104,26 @@ bool DenseBeatsRemedy(const Graph& graph, const RwrConfig& config,
 // Power-iterates the residues of `state` over the full CSR and adds the
 // result into `scores` (which must already hold the reserves; the push
 // invariant pi(v) = reserve(v) + sum_u r(u) pi_u(v) makes the sum exact up
-// to the leftover mass). The sweep is the same recurrence as
-// algo/power.cc; the alive vector is seeded from state's residues. On
-// completion the leftover alive mass (< tolerance) is folded into the
-// scores so they still sum to 1 — an additive error <= tolerance. A
-// non-null `cancel` is polled once per sweep; an early stop folds the
-// current alive mass in the same way (reported via leftover_mass so the
-// caller can account it as uncorrected). Fully deterministic: no RNG, and
-// the sweep order is the fixed CSR order regardless of how `state` was
-// produced — the basis of the dense path's bit-identity across
-// walk_threads and batch lane counts.
+// to the leftover mass). This is the library's one power-iteration
+// recurrence: algo/power.cc's PowerIteration feeds it a unit impulse, the
+// hybrid solvers their drained residues. On completion the leftover alive
+// mass (< tolerance) is folded into the scores so they still sum to 1 — an
+// additive error <= tolerance. A non-null `cancel` is polled once per
+// sweep; an early stop folds the current alive mass in the same way
+// (reported via leftover_mass so the caller can account it as
+// uncorrected). Fully deterministic: no RNG, and the sweep order is the
+// fixed CSR order regardless of how `state` was produced — the basis of
+// the dense path's bit-identity across walk_threads and batch lane counts.
 PowerIterStats RunDensePowerIter(const Graph& graph, const RwrConfig& config,
                                  NodeId source, const PushState& state,
                                  std::vector<Score>& scores,
                                  const HybridOptions& options,
                                  const CancellationToken* cancel = nullptr);
 
-// The shared dense finish used verbatim by ResAccSolver (QueryControlled /
-// QueryTopK) and BatchSolver (FinishLane / FinishLaneTopK): seeds scores
-// from the reserves of `state`, runs RunDensePowerIter from its residues,
-// and fills the Definition-1 accounting tags. Keeping this in one place is
-// what makes a dense lane's payload bit-identical to the serial solve.
+// The dense branch of the ResAcc finish (ResAccPipeline::Finish, which
+// serial queries and batched lanes share): seeds scores from the reserves
+// of `state`, runs RunDensePowerIter from its residues, and fills the
+// Definition-1 accounting tags.
 struct DenseFinish {
   std::vector<Score> scores;
   PowerIterStats stats;

@@ -7,6 +7,7 @@
 #include "resacc/obs/metrics_registry.h"
 #include "resacc/obs/trace.h"
 #include "resacc/util/check.h"
+#include "resacc/util/rng.h"
 #include "resacc/util/timer.h"
 
 namespace resacc {
@@ -56,23 +57,135 @@ struct SolverMetrics {
 
 }  // namespace
 
-ResAccSolver::ResAccSolver(const Graph& graph, const RwrConfig& config,
-                           const ResAccOptions& options)
+ResAccPipeline::ResAccPipeline(const Graph& graph, const RwrConfig& config,
+                               const ResAccOptions& options)
     : graph_(graph),
       config_(config),
       options_(options),
-      name_("ResAcc"),
-      state_(graph.num_nodes()),
-      rng_(config.seed),
+      r_max_f_(options.r_max_f > 0.0
+                   ? options.r_max_f
+                   : 1.0 / (10.0 * static_cast<Score>(graph.num_edges()))),
       walk_engine_(options.walk_threads) {
   RESACC_CHECK(config_.Validate().ok());
   RESACC_CHECK(options_.r_max_hop > 0.0);
-  r_max_f_ = options_.r_max_f > 0.0
-                 ? options_.r_max_f
-                 : 1.0 / (10.0 * static_cast<Score>(graph.num_edges()));
-  if (!options_.use_loop_accumulation) name_ = "No-Loop-ResAcc";
-  if (!options_.use_hop_subgraph) name_ = "No-SG-ResAcc";
-  if (!options_.use_omfwd) name_ = "No-OFD-ResAcc";
+}
+
+HHopFwdOptions ResAccPipeline::HopOptions(const CancellationToken* cancel,
+                                          SolverPath* path) const {
+  // The No-SG ablation accumulates over the whole graph; there the practical
+  // threshold is r_max^f (with r_max^hop the whole-graph search would push
+  // for days — the subgraph restriction is exactly what makes the tiny
+  // threshold affordable).
+  HHopFwdOptions hop;
+  hop.r_max_hop = options_.use_hop_subgraph ? options_.r_max_hop : r_max_f_;
+  hop.num_hops = options_.num_hops;
+  hop.use_loop_accumulation = options_.use_loop_accumulation;
+  hop.use_hop_subgraph = options_.use_hop_subgraph;
+  hop.max_hop_set_fraction = options_.max_hop_set_fraction;
+  hop.cancel = cancel;
+  // Hybrid selection point 1: with the hop-layer BFS done and nothing
+  // pushed yet, hand hub sources to the dense path (core/power_iter.h).
+  // The decision is a pure function of the BFS-derived stats, so a batched
+  // lane running the same RunHHopFwd selects identically.
+  if (options_.hybrid.enable && options_.use_hop_subgraph) {
+    hop.dense_probe = [this, r_max_hop = hop.r_max_hop,
+                       path](const HHopFwdStats& hop_stats) {
+      const SolverPath choice = ChooseFromHopStats(
+          graph_, config_, options_.hybrid, r_max_hop,
+          hop_stats.shrink_floored,
+          static_cast<double>(hop_stats.hop_set_edges));
+      if (choice == SolverPath::kLocal) return false;
+      *path = choice;
+      return true;
+    };
+  }
+  return hop;
+}
+
+ControlledQueryResult ResAccPipeline::Finish(
+    NodeId source, std::size_t k, const Status& push_status, SolverPath path,
+    const CancellationToken* cancel, PushState& state, TopKResult* topk,
+    ResAccQueryStats* stats) {
+  if (options_.hybrid.enable) RecordHybridSelection(path);
+  // Batched lanes (null stats) neither call the hook nor keep diagnostics.
+  ResAccQueryStats lane_stats;
+  ResAccQueryStats& phase_stats = stats != nullptr ? *stats : lane_stats;
+  const auto start_phase = [&](const char* phase) {
+    if (stats != nullptr && options_.phase_hook) options_.phase_hook(phase);
+  };
+  Rng query_rng = Rng(config_.seed).Fork(source);
+  ControlledQueryResult result;
+  result.status = push_status;
+  Score uncorrected = 0.0;
+
+  if (push_status.ok() && path != SolverPath::kLocal) {
+    // Dense: whole-graph power iteration (core/power_iter.h) takes the
+    // drained residues as its starting alive mass; no remedy walks.
+    start_phase("dense");
+    Timer phase;
+    DenseFinish dense;
+    {
+      RESACC_SPAN("dense_power_iter");
+      dense = RunDenseFinish(graph_, config_, source, state, options_.hybrid,
+                             cancel);
+    }
+    phase_stats.dense = dense.stats;
+    phase_stats.dense_seconds = phase.ElapsedSeconds();
+    if (dense.stats.cancelled) result.status = cancel->StopStatus();
+    uncorrected = dense.uncorrected_mass;
+    if (topk != nullptr) {
+      // The dense vector is exact to an additive eps*delta, so its top-k
+      // prefix with the standard epsilon-relative brackets is a valid
+      // certificate at the configured epsilon.
+      *topk = MakeApproximateTopK(dense.scores, k, dense.achieved_epsilon,
+                                  dense.degraded, dense.uncorrected_mass);
+      topk->status = result.status;
+    } else {
+      result.scores = std::move(dense.scores);
+    }
+  } else if (topk != nullptr) {
+    start_phase("topk");
+    Timer phase;
+    *topk = SolveTopKFromState(graph_, config_, source, k, r_max_f_,
+                               options_.walk_scale, options_.topk, state,
+                               query_rng, &walk_engine_, cancel, push_status);
+    phase_stats.remedy_seconds = phase.ElapsedSeconds();
+    result.status = topk->status;
+    uncorrected = topk->uncorrected_mass;
+  } else if (!push_status.ok()) {
+    // Stopped early: the reserves so far are the answer. pi(v) = reserve(v)
+    // + sum_u r(u) pi_u(v) holds after every push, so the estimate
+    // undershoots by at most the remaining residue mass.
+    result.scores = state.reserves();
+    uncorrected = state.ResidueSum();
+  } else {
+    // Remedy (Algorithm 2 lines 5-17).
+    start_phase("remedy");
+    Timer phase;
+    result.scores = state.reserves();
+    {
+      RESACC_SPAN("remedy");
+      phase_stats.remedy = RunRemedy(
+          graph_, config_, source, state, query_rng, result.scores,
+          options_.walk_scale, /*time_budget_seconds=*/0.0, &walk_engine_,
+          cancel);
+    }
+    phase_stats.remedy_seconds = phase.ElapsedSeconds();
+    if (phase_stats.remedy.cancelled) result.status = cancel->StopStatus();
+    uncorrected = phase_stats.remedy.uncorrected_mass;
+  }
+  AccuracyFor(config_, uncorrected).ApplyTo(result);
+  return result;
+}
+
+ResAccSolver::ResAccSolver(const Graph& graph, const RwrConfig& config,
+                           const ResAccOptions& options)
+    : pipeline_(graph, config, options),
+      name_("ResAcc"),
+      state_(graph.num_nodes()) {
+  if (!options.use_loop_accumulation) name_ = "No-Loop-ResAcc";
+  if (!options.use_hop_subgraph) name_ = "No-SG-ResAcc";
+  if (!options.use_omfwd) name_ = "No-OFD-ResAcc";
 }
 
 std::vector<Score> ResAccSolver::Query(NodeId source) {
@@ -83,149 +196,59 @@ std::vector<Score> ResAccSolver::Query(NodeId source) {
 
 ControlledQueryResult ResAccSolver::QueryControlled(
     NodeId source, const QueryControl& control) {
-  RESACC_CHECK(source < graph_.num_nodes());
+  RESACC_CHECK(source < pipeline_.graph().num_nodes());
   RESACC_SPAN("query");
   last_stats_ = ResAccQueryStats();
   Timer total;
-  const CancellationToken* cancel = control.cancel;
+  const Status push_status = RunPushPhases(source, control.cancel);
+  ControlledQueryResult result =
+      pipeline_.Finish(source, /*k=*/0, push_status, last_stats_.path,
+                       control.cancel, state_, nullptr, &last_stats_);
 
-  ControlledQueryResult result;
-  result.achieved_epsilon = config_.epsilon;
-
-  SolverMetrics& metrics = SolverMetrics::Get();
-  // Every return path — complete, degraded or cancelled — goes through
-  // here, so queries_total and the query histogram stay consistent with
-  // the per-phase histograms after an abort (each phase records iff it
+  // Every return path — complete, degraded or cancelled — counts here, so
+  // queries_total and the query histogram stay consistent with the
+  // per-phase histograms after an abort (each phase records iff it
   // started).
-  auto finish = [&](Score uncorrected_mass) {
-    result.uncorrected_mass = uncorrected_mass;
-    if (uncorrected_mass > 0.0) {
-      result.degraded = true;
-      // Each unit of unconverted mass adds <= that much absolute error to
-      // any score; nodes above delta turn it into relative error at worst
-      // uncorrected/delta (Theorem 3's residual term).
-      result.achieved_epsilon =
-          config_.epsilon + uncorrected_mass / config_.delta;
-      metrics.degraded.Increment();
+  SolverMetrics& metrics = SolverMetrics::Get();
+  if (push_status.ok()) {
+    if (last_stats_.path != SolverPath::kLocal) {
+      metrics.dense.Record(last_stats_.dense_seconds);
+    } else {
+      metrics.remedy.Record(last_stats_.remedy_seconds);
     }
-    if (!result.status.ok()) metrics.cancelled.Increment();
-    last_stats_.total_seconds = total.ElapsedSeconds();
-    metrics.queries.Increment();
-    metrics.total.Record(last_stats_.total_seconds);
-    if (options_.hybrid.enable) RecordHybridSelection(last_stats_.path);
-  };
-
-  state_.Reset();
-  if (ShouldStop(cancel)) {
-    // Dead on arrival (deadline already passed): nothing computed, the
-    // whole unit of probability mass is unconverted.
-    result.status = cancel->StopStatus();
-    result.scores.assign(graph_.num_nodes(), 0.0);
-    finish(1.0);
-    return result;
   }
-
-  // Partial result on an early stop: the reserves accumulated so far.
-  // pi(v) = reserve(v) + sum_u r(u) pi_u(v) holds after every push, so
-  // the estimate undershoots by at most the remaining residue mass.
-  auto reserves_snapshot = [&] {
-    std::vector<Score> scores(graph_.num_nodes(), 0.0);
-    for (NodeId v : state_.touched()) scores[v] = state_.reserve(v);
-    return scores;
-  };
-
-  // Phases 1-2: h-HopFWD + OMFWD.
-  const Status push_status = RunPushPhases(source, cancel);
-  if (!push_status.ok()) {
-    result.status = push_status;
-    result.scores = reserves_snapshot();
-    finish(state_.ResidueSum());
-    return result;
-  }
-
-  // Dense fallback: the selector handed this query to whole-graph power
-  // iteration (core/power_iter.h) — the drained residues become the
-  // starting alive mass, and the remedy walks are skipped entirely.
-  if (last_stats_.path != SolverPath::kLocal) {
-    if (options_.phase_hook) options_.phase_hook("dense");
-    Timer dense_phase;
-    DenseFinish dense;
-    {
-      RESACC_SPAN("dense_power_iter");
-      dense = RunDenseFinish(graph_, config_, source, state_,
-                             options_.hybrid, cancel);
-    }
-    last_stats_.dense = dense.stats;
-    last_stats_.dense_seconds = dense_phase.ElapsedSeconds();
-    metrics.dense.Record(last_stats_.dense_seconds);
-    if (dense.stats.cancelled) result.status = cancel->StopStatus();
-    result.scores = std::move(dense.scores);
-    finish(dense.uncorrected_mass);
-    return result;
-  }
-
-  // Phase 3: remedy (Algorithm 2 lines 5-17).
-  if (options_.phase_hook) options_.phase_hook("remedy");
-  Timer phase;
-  std::vector<Score> scores = reserves_snapshot();
-  Rng query_rng = rng_.Fork(source);
-  {
-    RESACC_SPAN("remedy");
-    last_stats_.remedy =
-        RunRemedy(graph_, config_, source, state_, query_rng, scores,
-                  options_.walk_scale, /*time_budget_seconds=*/0.0,
-                  &walk_engine_, cancel);
-  }
-  last_stats_.remedy_seconds = phase.ElapsedSeconds();
-  metrics.remedy.Record(last_stats_.remedy_seconds);
-
-  if (last_stats_.remedy.cancelled) result.status = cancel->StopStatus();
-  result.scores = std::move(scores);
-  finish(last_stats_.remedy.uncorrected_mass);
+  if (result.degraded) metrics.degraded.Increment();
+  if (!result.status.ok()) metrics.cancelled.Increment();
+  last_stats_.total_seconds = total.ElapsedSeconds();
+  metrics.queries.Increment();
+  metrics.total.Record(last_stats_.total_seconds);
   return result;
 }
 
 Status ResAccSolver::RunPushPhases(NodeId source,
                                    const CancellationToken* cancel) {
+  state_.Reset();
+  if (ShouldStop(cancel)) {
+    // Dead on arrival (deadline already passed): nothing ran — the whole
+    // unit of probability mass still sits on the source, uncorrected.
+    state_.SetResidue(source, 1.0);
+    return cancel->StopStatus();
+  }
+  const Graph& graph = pipeline_.graph();
+  const RwrConfig& config = pipeline_.config();
+  const ResAccOptions& options = pipeline_.options();
   SolverMetrics& metrics = SolverMetrics::Get();
 
-  // Phase 1: h-HopFWD. The No-SG ablation accumulates over the whole graph;
-  // there the practical threshold is r_max^f (with r_max^hop the whole-graph
-  // search would push for days — the subgraph restriction is exactly what
-  // makes the tiny threshold affordable).
-  if (options_.phase_hook) options_.phase_hook("hhop");
+  // Phase 1: h-HopFWD.
+  if (options.phase_hook) options.phase_hook("hhop");
   Timer phase;
-  HHopFwdOptions hhop_options;
-  hhop_options.r_max_hop =
-      options_.use_hop_subgraph ? options_.r_max_hop : r_max_f_;
-  hhop_options.num_hops = options_.num_hops;
-  hhop_options.use_loop_accumulation = options_.use_loop_accumulation;
-  hhop_options.use_hop_subgraph = options_.use_hop_subgraph;
-  hhop_options.max_hop_set_fraction = options_.max_hop_set_fraction;
-  hhop_options.cancel = cancel;
-
-  // Hybrid selection point 1: with the hop-layer BFS done and nothing
-  // pushed yet, hand hub sources to the dense path (core/power_iter.h).
-  // The decision is a pure function of the BFS-derived stats, so a batched
-  // lane running the same RunHHopFwd selects identically.
-  const bool hybrid_on = options_.hybrid.enable && options_.use_hop_subgraph;
-  if (hybrid_on) {
-    hhop_options.dense_probe = [&](const HHopFwdStats& hop_stats) {
-      const SolverPath choice = ChooseFromHopStats(
-          graph_, config_, options_.hybrid, hhop_options.r_max_hop,
-          hop_stats.shrink_floored,
-          static_cast<double>(hop_stats.hop_set_edges));
-      if (choice == SolverPath::kLocal) return false;
-      last_stats_.path = choice;
-      return true;
-    };
-  }
-
+  const HHopFwdOptions hhop_options =
+      pipeline_.HopOptions(cancel, &last_stats_.path);
   HopLayers layers;
   {
     RESACC_SPAN("hhop_fwd");
     last_stats_.hhop =
-        RunHHopFwd(graph_, config_, source, hhop_options, state_, &layers);
+        RunHHopFwd(graph, config, source, hhop_options, state_, &layers);
   }
   last_stats_.hhop_seconds = phase.ElapsedSeconds();
   metrics.hhop.Record(last_stats_.hhop_seconds);
@@ -241,14 +264,14 @@ Status ResAccSolver::RunPushPhases(NodeId source,
   // boundary (selection point 2) the remedy cost of the residues still
   // outstanding is compared against the dense bound; when remedy loses,
   // the search stops and the drained state goes dense instead.
-  if (options_.phase_hook) options_.phase_hook("omfwd");
+  if (options.phase_hook) options.phase_hook("omfwd");
   phase.Restart();
   PushRoundHook round_hook;
   const PushRoundHook* round_hook_ptr = nullptr;
-  if (hybrid_on) {
+  if (options.hybrid.enable && options.use_hop_subgraph) {
     round_hook = [&](std::size_t) {
-      if (!DenseBeatsRemedy(graph_, config_, options_.hybrid,
-                            state_.ResidueSum(), options_.walk_scale)) {
+      if (!DenseBeatsRemedy(graph, config, options.hybrid,
+                            state_.ResidueSum(), options.walk_scale)) {
         return false;
       }
       last_stats_.path = SolverPath::kDenseResidueMass;
@@ -258,10 +281,10 @@ Status ResAccSolver::RunPushPhases(NodeId source,
   }
   {
     RESACC_SPAN("omfwd");
-    if (options_.use_omfwd && !layers.layers.empty()) {
+    if (options.use_omfwd && !layers.layers.empty()) {
       last_stats_.omfwd_push =
-          RunOmfwd(graph_, config_, source, r_max_f_, layers.layers.back(),
-                   state_, cancel, round_hook_ptr);
+          RunOmfwd(graph, config, source, pipeline_.r_max_f(),
+                   layers.layers.back(), state_, cancel, round_hook_ptr);
     }
   }
   last_stats_.omfwd_seconds = phase.ElapsedSeconds();
@@ -273,56 +296,15 @@ Status ResAccSolver::RunPushPhases(NodeId source,
 
 TopKResult ResAccSolver::QueryTopK(NodeId source, std::size_t k,
                                    const QueryControl& control) {
-  RESACC_CHECK(source < graph_.num_nodes());
+  RESACC_CHECK(source < pipeline_.graph().num_nodes());
   RESACC_SPAN("query_topk");
   last_stats_ = ResAccQueryStats();
   Timer total;
-  const CancellationToken* cancel = control.cancel;
-
-  state_.Reset();
-  Status push_status;
-  if (ShouldStop(cancel)) {
-    // Dead on arrival: nothing ran — the whole unit of probability mass
-    // still sits on the source, uncorrected.
-    state_.SetResidue(source, 1.0);
-    push_status = cancel->StopStatus();
-  } else {
-    push_status = RunPushPhases(source, cancel);
-  }
-
-  // Dense fallback: the full dense vector is exact to an additive
-  // eps*delta, so its top-k prefix with the standard epsilon-relative
-  // brackets is a valid certificate at the configured epsilon. Same
-  // finish as BatchSolver::FinishLaneTopK's dense branch (bit-identical).
-  if (push_status.ok() && last_stats_.path != SolverPath::kLocal) {
-    if (options_.phase_hook) options_.phase_hook("dense");
-    Timer dense_phase;
-    DenseFinish dense;
-    {
-      RESACC_SPAN("dense_power_iter");
-      dense = RunDenseFinish(graph_, config_, source, state_,
-                             options_.hybrid, cancel);
-    }
-    last_stats_.dense = dense.stats;
-    last_stats_.dense_seconds = dense_phase.ElapsedSeconds();
-    TopKResult result =
-        MakeApproximateTopK(dense.scores, k, dense.achieved_epsilon,
-                            dense.degraded, dense.uncorrected_mass);
-    if (dense.stats.cancelled) result.status = cancel->StopStatus();
-    last_stats_.total_seconds = total.ElapsedSeconds();
-    if (options_.hybrid.enable) RecordHybridSelection(last_stats_.path);
-    return result;
-  }
-
-  if (options_.phase_hook) options_.phase_hook("topk");
-  Timer phase;
-  Rng query_rng = rng_.Fork(source);
-  TopKResult result = SolveTopKFromState(
-      graph_, config_, source, k, r_max_f_, options_.walk_scale,
-      options_.topk, state_, query_rng, &walk_engine_, cancel, push_status);
-  last_stats_.remedy_seconds = phase.ElapsedSeconds();
+  const Status push_status = RunPushPhases(source, control.cancel);
+  TopKResult result;
+  pipeline_.Finish(source, k, push_status, last_stats_.path, control.cancel,
+                   state_, &result, &last_stats_);
   last_stats_.total_seconds = total.ElapsedSeconds();
-  if (options_.hybrid.enable) RecordHybridSelection(last_stats_.path);
   return result;
 }
 

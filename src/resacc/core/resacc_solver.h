@@ -14,8 +14,10 @@
 #include "resacc/core/rwr_config.h"
 #include "resacc/core/ssrwr_algorithm.h"
 #include "resacc/core/topk.h"
+#include "resacc/core/walk_engine.h"
 #include "resacc/graph/graph.h"
-#include "resacc/util/rng.h"
+#include "resacc/util/cancellation.h"
+#include "resacc/util/status.h"
 
 namespace resacc {
 
@@ -87,12 +89,64 @@ struct ResAccQueryStats {
   PowerIterStats dense;
 };
 
+// The parts of Algorithm 2 that ResAccSolver and every BatchSolver lane
+// share, kept once so a batched lane runs exactly the serial code: the
+// hop-phase set-up and the finish from a drained push state. Bound to one
+// graph; owns the remedy phase's walk engine, so it is NOT thread-safe.
+class ResAccPipeline {
+ public:
+  ResAccPipeline(const Graph& graph, const RwrConfig& config,
+                 const ResAccOptions& options);
+  ResAccPipeline(Graph&&, const RwrConfig&, const ResAccOptions&) = delete;
+
+  const Graph& graph() const { return graph_; }
+  const RwrConfig& config() const { return config_; }
+  const ResAccOptions& options() const { return options_; }
+  // Effective r_max^f after applying the 1/(10 m) default.
+  Score r_max_f() const { return r_max_f_; }
+
+  // h-HopFWD options of one query, polling `cancel`. With the hybrid
+  // selector on they carry selection point 1 (ChooseFromHopStats) as the
+  // dense_probe, which writes the chosen dense path to `*path`.
+  HHopFwdOptions HopOptions(const CancellationToken* cancel,
+                            SolverPath* path) const;
+
+  // Algorithm 2's finish, for serial queries and batched lanes alike.
+  // `state` holds the query's drained push phases and is consumed:
+  //  * `push_status` not OK — the push phases stopped early (a query dead
+  //    on arrival plants r(source) = 1 first). The reserves are the
+  //    answer and the residues its uncorrected mass.
+  //  * `path` not kLocal — the hybrid selector chose the dense sweep
+  //    (RunDenseFinish).
+  //  * otherwise remedy walks over the residues, or for a top-k answer
+  //    the certificate finish (SolveTopKFromState, which also brackets a
+  //    stopped top-k query).
+  // A non-null `topk` asks for a top-k answer: it receives the
+  // TopKResult, and the returned result carries only the status and
+  // accuracy tags. A non-null `stats` marks a serial query: the finish
+  // then calls the phase_hook ("dense", "remedy" or "topk") as its phase
+  // starts and records the phase's diagnostics and time there.
+  ControlledQueryResult Finish(NodeId source, std::size_t k,
+                               const Status& push_status, SolverPath path,
+                               const CancellationToken* cancel,
+                               PushState& state, TopKResult* topk,
+                               ResAccQueryStats* stats);
+
+ private:
+  const Graph& graph_;
+  RwrConfig config_;
+  ResAccOptions options_;
+  Score r_max_f_;
+  WalkEngine walk_engine_;
+};
+
 // The paper's algorithm: h-HopFWD + OMFWD + remedy (Algorithm 2). One
 // instance per graph; Query is repeatable and reuses workspaces.
 class ResAccSolver : public SsrwrAlgorithm {
  public:
   ResAccSolver(const Graph& graph, const RwrConfig& config,
                const ResAccOptions& options);
+  ResAccSolver(Graph&&, const RwrConfig&, const ResAccOptions&) = delete;
 
   const std::string& name() const override { return name_; }
 
@@ -111,7 +165,8 @@ class ResAccSolver : public SsrwrAlgorithm {
   // unchanged, then refines at shrinking thresholds until rank k
   // separates — a certified result skips the remedy walks entirely; an
   // unseparated one falls back to remedy on the refined state. The shared
-  // finish step makes BatchSolver's top-k lanes bit-identical to this.
+  // finish (ResAccPipeline::Finish) makes BatchSolver's top-k lanes
+  // bit-identical to this.
   TopKResult QueryTopK(NodeId source, std::size_t k,
                        const QueryControl& control = QueryControl{}) override;
 
@@ -119,26 +174,22 @@ class ResAccSolver : public SsrwrAlgorithm {
   const ResAccQueryStats& last_stats() const { return last_stats_; }
 
   // Effective r_max^f after applying the 1/(10 m) default.
-  Score effective_r_max_f() const { return r_max_f_; }
+  Score effective_r_max_f() const { return pipeline_.r_max_f(); }
 
-  const RwrConfig& config() const { return config_; }
-  const ResAccOptions& options() const { return options_; }
+  const RwrConfig& config() const { return pipeline_.config(); }
+  const ResAccOptions& options() const { return pipeline_.options(); }
 
  private:
-  // Phases 1-2 of Algorithm 2 (h-HopFWD + OMFWD) on state_, with the
-  // usual per-phase stats/metrics/hooks. Returns the stop status: OK when
-  // both phases completed, the token's status when one was cut short
-  // (state_ then holds the valid partial reserves/residues).
+  // Phases 1-2 of Algorithm 2 (h-HopFWD + OMFWD) on a reset state_, with
+  // the usual per-phase stats/metrics/hooks. Returns the stop status: OK
+  // when both phases completed, the token's status when one was cut short
+  // or the query was dead on arrival (state_ then holds the valid partial
+  // reserves/residues, or just r(source) = 1).
   Status RunPushPhases(NodeId source, const CancellationToken* cancel);
 
-  const Graph& graph_;
-  RwrConfig config_;
-  ResAccOptions options_;
-  Score r_max_f_;
+  ResAccPipeline pipeline_;
   std::string name_;
   PushState state_;
-  Rng rng_;
-  WalkEngine walk_engine_;
   ResAccQueryStats last_stats_;
 };
 

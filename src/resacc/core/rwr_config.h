@@ -73,6 +73,37 @@ struct RwrConfig {
   }
 };
 
+// The Definition-1 accuracy tags every answer carries (ControlledQueryResult,
+// TopKResult, DenseFinish).
+struct Accuracy {
+  bool degraded = false;
+  Score uncorrected_mass = 0.0;
+  double achieved_epsilon = 0.0;
+
+  template <typename Result>
+  void ApplyTo(Result& result) const {
+    result.degraded = degraded;
+    result.uncorrected_mass = uncorrected_mass;
+    result.achieved_epsilon = achieved_epsilon;
+  }
+};
+
+// The one accounting rule of every solver: an answer that left
+// `uncorrected_mass` of probability mass unconverted (residue not walked,
+// walk mass skipped, dense sweep cut short) adds at most that much absolute
+// error to any score, i.e. at most uncorrected/delta relative error on the
+// nodes above delta (Theorem 3's residual term). It is degraded iff that
+// mass is positive; otherwise it meets the configured epsilon.
+inline Accuracy AccuracyFor(const RwrConfig& config, Score uncorrected_mass) {
+  Accuracy accuracy;
+  accuracy.degraded = uncorrected_mass > 0.0;
+  accuracy.uncorrected_mass = uncorrected_mass;
+  accuracy.achieved_epsilon =
+      accuracy.degraded ? config.epsilon + uncorrected_mass / config.delta
+                        : config.epsilon;
+  return accuracy;
+}
+
 }  // namespace resacc
 
 #endif  // RESACC_CORE_RWR_CONFIG_H_

@@ -144,15 +144,14 @@ TopKResult SolveTopKFromState(const Graph& graph, const RwrConfig& config,
   result.achieved_epsilon = config.epsilon;
   std::vector<NodeId> scratch;
 
-  // Degraded bracket of whatever the pushes accumulated before the stop.
-  // Used when phases 1-2 were cut short and when refinement is cancelled.
+  // Bracket of whatever the pushes accumulated before the stop, degraded
+  // by the residue mass left. Used when phases 1-2 were cut short and when
+  // refinement is cancelled.
   auto degraded_from_reserves = [&](const Status& status) {
     const Score r_sum = state.ResidueSum();
     result.status = status;
     result.certified = false;
-    result.degraded = true;
-    result.uncorrected_mass = r_sum;
-    result.achieved_epsilon = config.epsilon + r_sum / config.delta;
+    AccuracyFor(config, r_sum).ApplyTo(result);
     EntriesFromReserves(state, n, k, r_sum, result, scratch);
     if (k < n) {
       SeparationView sep = CheckSeparation(state, n, k, scratch);
@@ -261,12 +260,10 @@ TopKResult SolveTopKFromState(const Graph& graph, const RwrConfig& config,
                        walk_scale, /*time_budget_seconds=*/0.0, engine,
                        cancel);
   }
-  const bool truncated = remedy.uncorrected_mass > 0.0;
-  TopKResult approx = MakeApproximateTopK(
-      scores, k,
-      truncated ? config.epsilon + remedy.uncorrected_mass / config.delta
-                : config.epsilon,
-      truncated, remedy.uncorrected_mass);
+  const Accuracy accuracy = AccuracyFor(config, remedy.uncorrected_mass);
+  TopKResult approx =
+      MakeApproximateTopK(scores, k, accuracy.achieved_epsilon,
+                          accuracy.degraded, accuracy.uncorrected_mass);
   if (remedy.cancelled && cancel != nullptr) {
     approx.status = cancel->StopStatus();
   }

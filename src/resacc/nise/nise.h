@@ -48,6 +48,7 @@ struct NiseResult {
 class Nise {
  public:
   Nise(const Graph& graph, const NiseOptions& options);
+  Nise(Graph&&, const NiseOptions&) = delete;
 
   // Seeds by spread hubs: repeatedly take the highest-degree node not yet
   // covered by a previous seed's neighbourhood.

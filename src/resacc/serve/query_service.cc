@@ -418,9 +418,15 @@ std::future<QueryResponse> QueryService::Submit(const QueryRequest& request) {
       Waiter waiter;
       waiter.top_k = request.top_k;
       waiter.submit_time = t0;
+      // Only full-accuracy results are cached, so a hit reports what its
+      // computation did: the configured epsilon for a full vector, the
+      // stored one for a top-k payload.
       Completion completion;
       completion.scores = hit.scores;
       completion.topk = hit.topk;
+      completion.achieved_epsilon = hit.topk != nullptr
+                                        ? hit.topk->achieved_epsilon
+                                        : config_.epsilon;
       QueryResponse response = MakeResponse(completion, waiter);
       response.cache_hit = true;
       response.stale = !fresh;

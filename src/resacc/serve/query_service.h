@@ -81,7 +81,8 @@ struct ServeOptions {
   // opt-in). Values above BatchSolver::kMaxLanes are clamped; ignored
   // when solver_factory is set (batching is a ResAcc-pipeline
   // capability). A batch that ends up with a single live job takes the
-  // ordinary serial path.
+  // ordinary serial path: a 1-lane batch shares no row read and runs
+  // slower than ResAccSolver.
   std::size_t max_batch = 1;
   std::uint64_t batch_linger_us = 0;
 
@@ -203,9 +204,9 @@ struct QueryResponse {
   // `uncorrected_mass` of probability mass and satisfies the weaker bound
   // `achieved_epsilon` instead of the configured epsilon. Degraded
   // results are never cached — only full-accuracy vectors enter the
-  // cache. achieved_epsilon is also filled on complete responses (then it
-  // equals the configured epsilon; 0 for non-ResAcc/FORA/MC backends that
-  // predate the contract).
+  // cache. achieved_epsilon is also filled on complete responses, cache
+  // hits included (then it equals the configured epsilon; a computed
+  // answer from a backend that predates the contract reports 0).
   bool degraded = false;
   double achieved_epsilon = 0.0;
   Score uncorrected_mass = 0.0;

@@ -632,7 +632,8 @@ TEST(DynamicServeTest, CompactionSwapKeepsCacheAndAnswers) {
   other.source = 9;
   const QueryResponse folded_answer = service.Query(other);
   ASSERT_TRUE(folded_answer.status.ok());
-  ResAccSolver reference(view.Snapshot(), config, ResAccOptions{});
+  const Graph folded = view.Snapshot();
+  ResAccSolver reference(folded, config, ResAccOptions{});
   EXPECT_EQ(*folded_answer.scores, reference.Query(other.source));
 }
 
@@ -722,7 +723,8 @@ TEST(DynamicServeTest, PostMutationSubmitNeverCoalescesOntoStaleCompute) {
   ASSERT_TRUE(fresh_side.status.ok());
   EXPECT_FALSE(fresh_side.coalesced)
       << "post-mutation request coalesced onto a pre-mutation compute";
-  ResAccSolver reference(view.Snapshot(), config, ResAccOptions{});
+  const Graph mutated = view.Snapshot();
+  ResAccSolver reference(mutated, config, ResAccOptions{});
   EXPECT_EQ(*fresh_side.scores, reference.Query(request.source));
   EXPECT_NE(*stale_side.scores, *fresh_side.scores)
       << "mutation was supposed to change the source's own out-row";

@@ -461,6 +461,64 @@ TEST(QueryServiceTest, CacheHitOnRepeatAndTopK) {
   EXPECT_EQ(service.Snapshot().computed, 2u);
 }
 
+// QueryResponse's contract: an OK answer carries the epsilon its
+// computation achieved, whichever path delivered it. Computed, coalesced
+// and cache-hit responses — full vectors, top-k payloads, and top-k
+// answers bridged from a full vector — must all report the same epsilon.
+TEST(QueryServiceTest, EveryOkPathReportsTheComputedEpsilon) {
+  const Graph graph = ChungLuPowerLaw(500, 3000, 2.2, 10);
+  const RwrConfig config = TestConfig(graph);
+  Gate gate;
+  ServeOptions options;
+  options.num_workers = 1;
+  options.dequeue_hook = gate.HookBlocking(/*blocked_source=*/1);
+  QueryService service(graph, config, options);
+
+  // Park the worker, then queue a leader and a coalesced follower per
+  // shape: full and top-k on source 2 (the top-k one bridged from the full
+  // job), top-k on source 3.
+  auto blocked = service.Submit(QueryRequest{1, 0, 0.0});
+  gate.AwaitArrival();
+  std::vector<std::future<QueryResponse>> first_round;
+  for (const QueryRequest& request :
+       {QueryRequest{2, 0, 0.0}, QueryRequest{2, 0, 0.0},
+        QueryRequest{2, 5, 0.0}, QueryRequest{3, 5, 0.0},
+        QueryRequest{3, 5, 0.0}}) {
+    first_round.push_back(service.Submit(request));
+  }
+  gate.Open();
+  ASSERT_TRUE(blocked.get().status.ok());
+
+  std::size_t computed = 0;
+  std::size_t coalesced = 0;
+  const auto expect_epsilon = [&](const QueryResponse& response,
+                                  const char* path) {
+    ASSERT_TRUE(response.status.ok()) << path;
+    EXPECT_FALSE(response.degraded) << path;
+    EXPECT_EQ(response.achieved_epsilon, config.epsilon) << path;
+    if (response.topk != nullptr) {
+      EXPECT_EQ(response.topk->achieved_epsilon, config.epsilon) << path;
+    }
+  };
+  for (auto& future : first_round) {
+    const QueryResponse response = future.get();
+    (response.coalesced ? coalesced : computed) += 1;
+    expect_epsilon(response, response.coalesced ? "coalesced" : "computed");
+  }
+  EXPECT_EQ(computed, 2u);
+  EXPECT_EQ(coalesced, 3u);
+
+  // Cache hits: a full entry, a top-k entry, and a top-k probe bridged
+  // from the full entry.
+  for (const QueryRequest& request :
+       {QueryRequest{2, 0, 0.0}, QueryRequest{3, 5, 0.0},
+        QueryRequest{2, 4, 0.0}}) {
+    const QueryResponse response = service.Query(request);
+    EXPECT_TRUE(response.cache_hit) << "source " << request.source;
+    expect_epsilon(response, "cache hit");
+  }
+}
+
 TEST(QueryServiceTest, CoalescesIdenticalInFlightQueries) {
   const Graph graph = ChungLuPowerLaw(500, 3000, 2.2, 10);
   Gate gate;

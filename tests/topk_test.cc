@@ -290,44 +290,6 @@ TEST(TopKBatchTest, MixedLanesBitIdenticalToSerialAcrossBatchSizes) {
   }
 }
 
-TEST(TopKBatchTest, BracketBackendsMatchSerialDefault) {
-  const Graph graph = ChungLuPowerLaw(800, 4800, 2.5, /*seed=*/21);
-  RwrConfig config;
-  config.delta = 1e-3;
-  config.p_f = 1e-3;
-  config.dangling = DanglingPolicy::kAbsorb;
-  config.seed = 0xf0a;
-
-  Fora serial_fora(graph, config);
-  MonteCarlo serial_mc(graph, config);
-  BatchSolver batch_fora(graph, config, ForaOptions{});
-  BatchSolver batch_mc(graph, config, MonteCarloBatchOptions{});
-  struct Pair {
-    SsrwrAlgorithm* serial;
-    BatchSolver* batch;
-  } pairs[] = {{&serial_fora, &batch_fora}, {&serial_mc, &batch_mc}};
-
-  const std::vector<NodeId> sources = {3, 71, 200, 555};
-  for (Pair& pair : pairs) {
-    std::vector<BatchLane> lanes;
-    for (const NodeId s : sources) {
-      BatchLane lane;
-      lane.source = s;
-      lane.top_k = 10;
-      lanes.push_back(lane);
-    }
-    std::vector<TopKResult> topks;
-    pair.batch->QueryBatch(lanes, &topks);
-    ASSERT_EQ(topks.size(), sources.size());
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      SCOPED_TRACE(::testing::Message() << pair.serial->name() << " source="
-                                        << sources[i]);
-      const TopKResult expected = pair.serial->QueryTopK(sources[i], 10);
-      ExpectTopKBitIdentical(expected, topks[i], "bracket backend lane");
-    }
-  }
-}
-
 // --- Cache k-superset rules -------------------------------------------------
 
 std::shared_ptr<const TopKResult> SyntheticTopK(std::size_t k, bool certified,
