@@ -3,6 +3,8 @@
 #include "resacc/core/h_hop_fwd.h"
 #include "resacc/core/resacc_solver.h"
 #include "resacc/core/rwr_config.h"
+#include "resacc/core/ssrwr_algorithm.h"
+#include "resacc/core/topk.h"
 #include "resacc/graph/generators.h"
 #include "tests/test_graphs.h"
 
@@ -52,6 +54,40 @@ TEST(RwrConfigTest, WalkCountCoefficientMatchesTheorem3) {
   const double expected =
       (2.0 * 0.5 / 3.0 + 2.0) * std::log(2.0 / 0.001) / (0.25 * 0.01);
   EXPECT_NEAR(config.WalkCountCoefficient(), expected, 1e-9);
+}
+
+// Definition-1 accounting: unconverted mass adds uncorrected/delta to the
+// configured epsilon and is the only thing that marks an answer degraded.
+TEST(AccuracyTest, UncorrectedMassIsTheOnlyDegradation) {
+  RwrConfig config;
+  config.epsilon = 0.5;
+  config.delta = 0.25;
+
+  const Accuracy complete = AccuracyFor(config, 0.0);
+  EXPECT_FALSE(complete.degraded);
+  EXPECT_EQ(complete.uncorrected_mass, 0.0);
+  EXPECT_EQ(complete.achieved_epsilon, config.epsilon);
+
+  const Accuracy partial = AccuracyFor(config, 0.125);
+  EXPECT_TRUE(partial.degraded);
+  EXPECT_EQ(partial.uncorrected_mass, 0.125);
+  EXPECT_EQ(partial.achieved_epsilon, 1.0);  // 0.5 + 0.125 / 0.25
+
+  // ApplyTo overwrites all three tags on either result shape.
+  ControlledQueryResult full;
+  full.achieved_epsilon = 7.0;
+  partial.ApplyTo(full);
+  EXPECT_TRUE(full.degraded);
+  EXPECT_EQ(full.uncorrected_mass, 0.125);
+  EXPECT_EQ(full.achieved_epsilon, 1.0);
+
+  TopKResult topk;
+  topk.degraded = true;
+  topk.uncorrected_mass = 3.0;
+  complete.ApplyTo(topk);
+  EXPECT_FALSE(topk.degraded);
+  EXPECT_EQ(topk.uncorrected_mass, 0.0);
+  EXPECT_EQ(topk.achieved_epsilon, config.epsilon);
 }
 
 TEST(AdaptiveHopCapTest, ShrinksEffectiveHopsForHubs) {
