@@ -29,7 +29,8 @@ struct ForaOptions {
   // equal-time comparison (Fig. 6(a)): the remedy loop stops issuing walks
   // once the budget is exhausted, leaving the remaining residues
   // uncorrected — "FORA cannot generate random walks from most nodes when
-  // the time is over". Checked every WalkEngine::kBlockWalks walks.
+  // the time is over". Checked each time the walk engine issues a block
+  // of <= WalkEngine::kBlockWalks walks.
   double time_budget_seconds = 0.0;
   // Threads for the walk phase (0 = hardware concurrency). Speed only;
   // scores are bit-identical for every value (walk_engine.h).

@@ -43,9 +43,10 @@ struct RemedyStats {
 //
 // `time_budget_seconds` > 0 makes the walk loop stop once the budget is
 // spent, leaving later residues uncorrected (the equal-time comparison of
-// Fig. 6(a) terminates FORA this way). The budget clock is checked every
-// WalkEngine::kBlockWalks walks, so even one high-residue node with
-// millions of walks overshoots the budget by at most one block.
+// Fig. 6(a) terminates FORA this way). The budget clock is checked each
+// time the engine issues a block of <= WalkEngine::kBlockWalks walks, so
+// even one high-residue node with millions of walks overshoots the budget
+// by at most the blocks in flight.
 //
 // The walks run on `engine` (WalkEngine); nullptr uses a per-call
 // sequential engine. The output is bit-identical for every engine thread
@@ -53,7 +54,7 @@ struct RemedyStats {
 // (which advances, so repeated calls with the same Rng object stay
 // independent), and the engine merges per-block partial sums in a fixed
 // order. See walk_engine.h for the full determinism contract.
-// A non-null `cancel` token stops the walk loop at the next block boundary
+// A non-null `cancel` token stops the walk loop at the next block issue
 // (same granularity as the budget); the skipped residue mass is reported
 // as `uncorrected_mass` either way.
 RemedyStats RunRemedy(const Graph& graph, const RwrConfig& config,

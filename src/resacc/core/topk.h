@@ -16,8 +16,15 @@ namespace resacc {
 
 // Knobs of the bound-driven top-k refinement (see topk_solve.h and
 // DESIGN.md "Top-k: bound-based early termination"). The defaults aim the
-// common case — certify without ever entering the remedy phase — while the
-// guards keep the fallback path from costing more than a full query.
+// common case — certify without ever entering the remedy phase. The guards
+// cap the refinement, but they do not keep the fallback path cheaper than
+// a full query: on the walk-topk benchmark's config (Chung-Lu n=5000,
+// m=734516, delta=1e-4, r_max_f=1e-5, one thread, idle 4-core host) a
+// top-k@10 query takes 76-77 ms, most of it refinement pushes over 10.8M
+// edges that certify none of the sampled sources, while a full query takes
+// 38 ms. `profit_slack` prices a walk step at several pushed edges, which
+// interleaved walks (walk_engine.h) no longer cost. Retuning it changes
+// top-k answers (ROADMAP item 5).
 struct TopKOptions {
   // r_max divisor applied per refinement stage after OMFWD. Larger values
   // take fewer, bigger stages between separation checks.
