@@ -52,14 +52,13 @@ constexpr std::uint64_t kCancelPollInterval = 512;
 // ascending-id rounds — the wavefront behaviour of the classic FIFO with a
 // processing order that is a pure function of the scheduled (node, round)
 // pairs, which is what lets the batched solver replay it per lane.
-PushStats ForwardSearchLevelSync(const Graph& graph, const RwrConfig& config,
-                                 NodeId source, Score r_max,
-                                 std::span<const NodeId> seeds,
-                                 bool push_seeds_unconditionally,
-                                 PushState& state,
-                                 const CancellationToken* cancel,
-                                 const PushRoundHook* round_hook) {
-  PushStats stats;
+void ForwardSearchLevelSync(const Graph& graph, const RwrConfig& config,
+                            NodeId source, Score r_max,
+                            std::span<const NodeId> seeds,
+                            bool push_seeds_unconditionally, PushState& state,
+                            const CancellationToken* cancel,
+                            const PushRoundHook* round_hook,
+                            PushStats& stats) {
   Frontier frontier(graph.num_nodes());
   for (NodeId seed : seeds) frontier.Seed(seed);
 
@@ -96,20 +95,17 @@ PushStats ForwardSearchLevelSync(const Graph& graph, const RwrConfig& config,
       frontier.Schedule(source);
     }
   }
-  return stats;
 }
 
 // Max-residue-first work list. Heap entries carry the residue observed at
 // enqueue time; a node already in the heap is not re-inserted when its
 // residue grows (the stale, smaller key only delays its pop — by then it
 // has accumulated even more, which is exactly the intent).
-PushStats ForwardSearchMaxFirst(const Graph& graph, const RwrConfig& config,
-                                NodeId source, Score r_max,
-                                std::span<const NodeId> seeds,
-                                bool push_seeds_unconditionally,
-                                PushState& state,
-                                const CancellationToken* cancel) {
-  PushStats stats;
+void ForwardSearchMaxFirst(const Graph& graph, const RwrConfig& config,
+                           NodeId source, Score r_max,
+                           std::span<const NodeId> seeds,
+                           bool push_seeds_unconditionally, PushState& state,
+                           const CancellationToken* cancel, PushStats& stats) {
   std::priority_queue<std::pair<Score, NodeId>> heap;
   std::vector<std::uint8_t> in_heap(graph.num_nodes(), 0);
   std::vector<std::uint8_t> is_seed(graph.num_nodes(), 0);
@@ -151,7 +147,6 @@ PushStats ForwardSearchMaxFirst(const Graph& graph, const RwrConfig& config,
       try_enqueue(source);
     }
   }
-  return stats;
 }
 
 }  // namespace
@@ -161,14 +156,20 @@ PushStats RunForwardSearch(const Graph& graph, const RwrConfig& config,
                            std::span<const NodeId> seeds,
                            bool push_seeds_unconditionally, PushState& state,
                            PushOrder order, const CancellationToken* cancel,
-                           const PushRoundHook* round_hook) {
+                           const PushRoundHook* round_hook,
+                           PushStats* progress) {
+  PushStats local;
+  PushStats& stats = progress != nullptr ? *progress : local;
+  stats = PushStats{};
   if (order == PushOrder::kMaxResidueFirst) {
-    return ForwardSearchMaxFirst(graph, config, source, r_max, seeds,
-                                 push_seeds_unconditionally, state, cancel);
+    ForwardSearchMaxFirst(graph, config, source, r_max, seeds,
+                          push_seeds_unconditionally, state, cancel, stats);
+  } else {
+    ForwardSearchLevelSync(graph, config, source, r_max, seeds,
+                           push_seeds_unconditionally, state, cancel,
+                           round_hook, stats);
   }
-  return ForwardSearchLevelSync(graph, config, source, r_max, seeds,
-                                push_seeds_unconditionally, state, cancel,
-                                round_hook);
+  return stats;
 }
 
 }  // namespace resacc

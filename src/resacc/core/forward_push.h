@@ -63,10 +63,12 @@ enum class PushOrder {
 // Invoked by the level-synchronous search each time the Frontier promotes
 // to a new round (before any node of that round is pushed). Returning true
 // stops the search there; the state is a valid intermediate exactly as
-// with cancellation. The top-k solver hangs its separation check here —
-// round boundaries are the only points whose position in the processing
-// sequence is a pure function of the scheduled (node, round) pairs, which
-// is what keeps batched-lane replays bit-identical to serial.
+// with cancellation. The top-k solver hangs its separation and price
+// checks here — round boundaries are the only points whose position in
+// the processing sequence is a pure function of the scheduled (node,
+// round) pairs, which is what keeps batched-lane replays bit-identical to
+// serial. A hook that needs the work done so far reads it from the
+// search's `progress` counters (RunForwardSearch).
 // Ignored by kMaxResidueFirst (no round structure).
 using PushRoundHook = std::function<bool(std::size_t round)>;
 
@@ -82,13 +84,16 @@ using PushRoundHook = std::function<bool(std::size_t round)>;
 // invariant pi(v) = reserve(v) + sum_u r(u) pi_u(v) holds after every
 // individual push), so the caller can still read partial reserves and the
 // remaining residue mass — the token's status says *why* it stopped.
+// A non-null `progress` is zeroed and then counts this search's work as it
+// runs, so a round hook can read it; the return value is its final copy.
 PushStats RunForwardSearch(const Graph& graph, const RwrConfig& config,
                            NodeId source, Score r_max,
                            std::span<const NodeId> seeds,
                            bool push_seeds_unconditionally, PushState& state,
                            PushOrder order = PushOrder::kFifo,
                            const CancellationToken* cancel = nullptr,
-                           const PushRoundHook* round_hook = nullptr);
+                           const PushRoundHook* round_hook = nullptr,
+                           PushStats* progress = nullptr);
 
 }  // namespace resacc
 

@@ -15,32 +15,31 @@
 namespace resacc {
 
 // Knobs of the bound-driven top-k refinement (see topk_solve.h and
-// DESIGN.md "Top-k: bound-based early termination"). The defaults aim the
-// common case — certify without ever entering the remedy phase. The guards
-// cap the refinement, but they do not keep the fallback path cheaper than
-// a full query: on the walk-topk benchmark's config (Chung-Lu n=5000,
-// m=734516, delta=1e-4, r_max_f=1e-5, one thread, idle 4-core host) a
-// top-k@10 query takes 76-77 ms, most of it refinement pushes over 10.8M
-// edges that certify none of the sampled sources, while a full query takes
-// 38 ms. `profit_slack` prices a walk step at several pushed edges, which
-// interleaved walks (walk_engine.h) no longer cost. Retuning it changes
-// top-k answers (ROADMAP item 5).
+// DESIGN.md "Top-k: bound-based early termination"). Refinement keeps
+// pushing while rank k has not separated, r_max is above its floor, and
+// the pushing is cheaper than walking: the edges it has pushed in total
+// stay below `profit_slack` times the remedy walk steps the residue left
+// would cost (Theorem 3). On the walk-topk benchmark's config (Chung-Lu
+// n=5000, m=734516, delta=1e-4, r_max_f=1e-5, one thread, shared 4-core
+// host) a top-k@10 query then pushes 3.49M edges and takes 59-68 ms,
+// against 10.8M edges and 136-144 ms under the per-stage profit check and
+// 64 m edge budget this rule replaced, and 76-85 ms for a full query.
+// None of the sampled sources certify there: walks are cheap at that
+// delta. Traced kernel rates put one walk step at 1.4-4.5 pushed edges.
 struct TopKOptions {
   // r_max divisor applied per refinement stage after OMFWD. Larger values
   // take fewer, bigger stages between separation checks.
   double shrink = 8.0;
   // Refinement gives up once r_max falls below `min_r_max_factor` times
   // the starting threshold. Exact score ties at rank k can never be
-  // separated by a finite push, so a floor is mandatory; it also bounds
-  // the work wasted on near-ties before the remedy fallback takes over.
+  // separated by a finite push, so a floor is mandatory and keeps
+  // r_max > 0 whatever the price.
   double min_r_max_factor = 1e-7;
-  // Hard cap on refinement edge traversals, as a multiple of m.
-  double max_refine_edge_factor = 64.0;
-  // Cost-model guard: refinement stops once a stage traverses more than
-  // `profit_slack` times the remedy walk steps it saved (the walk count is
-  // proportional to the residue mass the stage drained, Theorem 3). The
-  // slack reflects that push work streams the CSR while walk steps jump
-  // randomly; > 1 keeps refining past the naive break-even.
+  // The price of one remedy walk step in pushed edges. Refinement may push
+  // at most `profit_slack` * r_sum * WalkCountCoefficient() * walk_scale /
+  // alpha edges in total, at the residue sum r_sum it has reached; it is
+  // checked before each stage and at every round boundary inside one.
+  // Infinity never prices refinement out (only the floor stops it).
   double profit_slack = 4.0;
 };
 

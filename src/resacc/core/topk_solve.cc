@@ -17,7 +17,8 @@ namespace {
 struct TopKMetrics {
   Counter& queries;
   Counter& certified;
-  Counter& fallback;
+  Counter& fallback_priced;
+  Counter& fallback_floor;
   LatencyHistogram& refine_rounds;
   LatencyHistogram& bound_gap;
 
@@ -31,9 +32,12 @@ struct TopKMetrics {
             "Top-k queries answered by a separation certificate "
             "(early-terminated; remedy walks skipped entirely)."),
         registry.GetCounter(
-            "resacc_topk_fallback_total", "",
+            "resacc_topk_fallback_total", "reason=\"priced\"",
             "Top-k queries that fell back to a full approximate solve "
-            "after refinement failed to separate rank k."),
+            "after refinement failed to separate rank k, by reason: its "
+            "push allowance ran out (priced) or r_max hit its floor."),
+        registry.GetCounter("resacc_topk_fallback_total",
+                            "reason=\"floor\""),
         registry.GetHistogram(
             "resacc_topk_refine_rounds", "",
             "Refinement stages run before a top-k query stopped "
@@ -172,18 +176,29 @@ TopKResult SolveTopKFromState(const Graph& graph, const RwrConfig& config,
   SeparationView sep = CheckSeparation(state, n, k, scratch);
 
   // Refinement: shrink r_max until rank k separates or a guard trips.
+  //
+  // Rent or buy: the remedy would still take r_sum * steps_per_mass walk
+  // steps (Theorem 3), and one step is priced at `profit_slack` pushed
+  // edges. Refinement stops once the edges it has pushed in total reach
+  // the price of walking the residue that is left. Checked before each
+  // stage and at every round boundary inside one, so refinement ends at
+  // most one round (<= m edges) past the allowance that last let it go on.
   const double steps_per_mass =
       config.WalkCountCoefficient() * walk_scale / config.alpha;
+  const auto over_allowance = [&](std::uint64_t edges, Score r_sum) {
+    return static_cast<double>(edges) >=
+           options.profit_slack * r_sum * steps_per_mass;
+  };
   const Score r_max_floor =
       static_cast<Score>(r_max_start * options.min_r_max_factor);
-  const auto edge_budget = static_cast<std::uint64_t>(
-      options.max_refine_edge_factor * static_cast<double>(graph.num_edges()));
   Score r_max = r_max_start;
+  bool priced_out = false;
   std::vector<NodeId> seeds;
   while (!sep.separated && !ShouldStop(cancel)) {
+    priced_out = over_allowance(result.refine_edges, sep.r_sum);
+    if (priced_out) break;
     const Score next_r_max = static_cast<Score>(r_max / options.shrink);
     if (next_r_max < r_max_floor) break;
-    if (result.refine_edges >= edge_budget) break;
 
     // Stage seeds: every node meeting the push condition at the tightened
     // threshold, in canonical ascending-id order (round-0 seeds run in
@@ -198,32 +213,22 @@ TopKResult SolveTopKFromState(const Graph& graph, const RwrConfig& config,
     }
     std::sort(seeds.begin(), seeds.end());
 
-    const Score r_sum_before = sep.r_sum;
-    PushStats stage;
     if (!seeds.empty()) {
+      PushStats stage;
       PushRoundHook hook = [&](std::size_t) {
         sep = CheckSeparation(state, n, k, scratch);
-        return sep.separated;
+        return sep.separated ||
+               over_allowance(result.refine_edges + stage.edge_traversals,
+                              sep.r_sum);
       };
-      stage = RunForwardSearch(graph, config, source, next_r_max, seeds,
-                               /*push_seeds_unconditionally=*/false, state,
-                               PushOrder::kFifo, cancel, &hook);
+      RunForwardSearch(graph, config, source, next_r_max, seeds,
+                       /*push_seeds_unconditionally=*/false, state,
+                       PushOrder::kFifo, cancel, &hook, &stage);
       result.refine_edges += stage.edge_traversals;
     }
     ++result.refine_stages;
     r_max = next_r_max;
     if (!sep.separated) sep = CheckSeparation(state, n, k, scratch);
-    if (sep.separated) break;
-
-    // Profitability guard: the walks this stage saved are proportional to
-    // the residue it drained; once a stage costs more than `profit_slack`
-    // times that (plus a small constant so empty stages keep shrinking),
-    // further pushing is worse than just walking the remainder.
-    const double saved_steps = (r_sum_before - sep.r_sum) * steps_per_mass;
-    if (static_cast<double>(stage.edge_traversals) >
-        options.profit_slack * saved_steps + 1024.0) {
-      break;
-    }
   }
 
   if (!sep.separated && ShouldStop(cancel)) {
@@ -249,7 +254,7 @@ TopKResult SolveTopKFromState(const Graph& graph, const RwrConfig& config,
   // Fallback: finish as a full approximate query on the refined state.
   // The remedy walk count is proportional to the remaining r_sum, so the
   // refinement's drain carries over as fewer walks.
-  metrics.fallback.Increment();
+  (priced_out ? metrics.fallback_priced : metrics.fallback_floor).Increment();
   metrics.refine_rounds.Record(static_cast<double>(result.refine_stages));
   std::vector<Score> scores(n, 0.0);
   for (NodeId v : state.touched()) scores[v] = state.reserve(v);

@@ -26,8 +26,9 @@ namespace resacc {
 //     top-k);
 //  2. while not separated, refines: reruns the forward search at
 //     r_max / shrink^i, rechecking separation at every Frontier round
-//     boundary (PushRoundHook) and between stages, under the floor /
-//     edge-budget / profitability guards of TopKOptions;
+//     boundary (PushRoundHook) and between stages, until r_max reaches
+//     its floor or the edges pushed reach the price of walking the
+//     residue left (TopKOptions::profit_slack);
 //  3. on separation returns a certified result WITHOUT running remedy
 //     (the whole walk budget is unspent — the r_sum slack in the upper
 //     bounds is what remains of it);

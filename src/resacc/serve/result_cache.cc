@@ -43,7 +43,6 @@ std::uint64_t HashQueryConfig(const RwrConfig& config,
   // part of the key even though full vectors ignore them.
   HashValue(h, options.topk.shrink);
   HashValue(h, options.topk.min_r_max_factor);
-  HashValue(h, options.topk.max_refine_edge_factor);
   HashValue(h, options.topk.profit_slack);
   HashValue(h, options.use_loop_accumulation);
   HashValue(h, options.use_hop_subgraph);

@@ -1,12 +1,14 @@
 // Tests of the top-k query mode (PR 8): separation certificates audited
-// against power-iteration ground truth, parity between QueryTopK and the
-// full-vector solve for the bracket-only solvers, tie handling at rank k,
-// degenerate k, batched-lane bit-identity with the serial solver, the
-// result cache's k-superset reuse rules, and mixed-shape serving under
-// concurrent clients (the TSAN target for shape-aware coalescing).
+// against power-iteration ground truth, refinement held to the price of
+// the walks it replaces, parity between QueryTopK and the full-vector
+// solve for the bracket-only solvers, tie handling at rank k, degenerate
+// k, batched-lane bit-identity with the serial solver, the result cache's
+// k-superset reuse rules, and mixed-shape serving under concurrent
+// clients (the TSAN target for shape-aware coalescing).
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -18,13 +20,20 @@
 #include "resacc/algo/fora.h"
 #include "resacc/algo/monte_carlo.h"
 #include "resacc/core/batch_solver.h"
+#include "resacc/core/h_hop_fwd.h"
+#include "resacc/core/omfwd.h"
+#include "resacc/core/push_state.h"
 #include "resacc/core/resacc_solver.h"
 #include "resacc/core/topk.h"
+#include "resacc/core/topk_solve.h"
+#include "resacc/core/walk_engine.h"
 #include "resacc/eval/ground_truth.h"
 #include "resacc/graph/generators.h"
 #include "resacc/graph/graph.h"
+#include "resacc/graph/hop_layers.h"
 #include "resacc/serve/query_service.h"
 #include "resacc/serve/result_cache.h"
+#include "resacc/util/rng.h"
 #include "resacc/util/top_k.h"
 #include "tests/test_graphs.h"
 
@@ -69,10 +78,9 @@ TEST(TopKSolveTest, CertificateBracketsGroundTruth) {
   const Graph graph = ChungLuPowerLaw(500, 3000, 2.2, /*seed=*/10);
   const RwrConfig config = TestConfig(graph);
   ResAccOptions options;
-  // Generous refinement budgets: on a graph this small the solver must be
-  // able to push until rank k separates instead of giving up and walking.
+  // Unpriced refinement: on a graph this small the solver must be able to
+  // push until rank k separates instead of giving up and walking.
   options.topk.min_r_max_factor = 1e-12;
-  options.topk.max_refine_edge_factor = 1e6;
   options.topk.profit_slack = 1e9;
   ResAccSolver solver(graph, config, options);
   GroundTruthCache truth(graph, config);
@@ -113,6 +121,74 @@ TEST(TopKSolveTest, CertificateBracketsGroundTruth) {
       }
     }
   }
+}
+
+// --- Refinement priced against the walks ---------------------------------
+
+TEST(TopKSolveTest, RefinementNeverOutspendsTheWalks) {
+  // A small delta makes every walk step dear, yet on this Chung-Lu graph
+  // rank 10 stays unseparated long after pushing stopped paying: the
+  // refinement must hand the residue to the remedy once the edges it has
+  // pushed reach `profit_slack` times the walk steps that residue costs.
+  // The phases are chained by hand so the test holds the refined state.
+  const Graph graph = ChungLuPowerLaw(2000, 40000, 2.1, /*seed=*/5);
+  RwrConfig config = TestConfig(graph);
+  config.delta = 1e-5;
+  const ResAccOptions options;
+  const Score r_max_f = 1.0 / (10.0 * static_cast<Score>(graph.num_edges()));
+  const double steps_per_mass =
+      config.WalkCountCoefficient() * options.walk_scale / config.alpha;
+  const double m = static_cast<double>(graph.num_edges());
+  constexpr std::size_t kK = 10;
+
+  // Post-OMFWD state of `source`, then the top-k finish on it.
+  const auto finish = [&](NodeId source, const TopKOptions& topk,
+                          PushState& state) {
+    HHopFwdOptions hhop;
+    hhop.r_max_hop = options.r_max_hop;
+    hhop.num_hops = options.num_hops;
+    hhop.max_hop_set_fraction = options.max_hop_set_fraction;
+    HopLayers layers;
+    RunHHopFwd(graph, config, source, hhop, state, &layers);
+    if (!layers.layers.empty()) {
+      RunOmfwd(graph, config, source, r_max_f, layers.layers.back(), state);
+    }
+    WalkEngine engine(1);
+    Rng rng = Rng(config.seed).Fork(source);
+    return SolveTopKFromState(graph, config, source, kK, r_max_f,
+                              options.walk_scale, topk, state, rng, &engine,
+                              nullptr, Status::Ok());
+  };
+
+  std::size_t fallbacks = 0;
+  for (NodeId source = 3; source < graph.num_nodes(); source += 250) {
+    SCOPED_TRACE(::testing::Message() << "source=" << source);
+    PushState state(graph.num_nodes());
+    const TopKResult result = finish(source, options.topk, state);
+    ASSERT_TRUE(result.status.ok());
+    if (result.certified || result.refine_stages == 0) continue;
+    ++fallbacks;
+
+    // The allowance is checked at round boundaries, so the last round (at
+    // most m edges) may run past it — and that round also drains residue,
+    // shrinking the allowance the final state shows. So hold the edges to
+    // the allowance where the last stage began. The rounds a refinement
+    // pushes do not depend on where it stops, so an r_max floor just above
+    // the last stage's threshold (shrink = 8: exact in binary) stops the
+    // same refinement there.
+    TopKOptions cut = options.topk;
+    cut.min_r_max_factor =
+        0.5 / std::pow(options.topk.shrink, result.refine_stages - 1);
+    PushState before_last(graph.num_nodes());
+    const TopKResult shorter = finish(source, cut, before_last);
+    ASSERT_EQ(shorter.refine_stages + 1, result.refine_stages);
+    const double allowance =
+        options.topk.profit_slack * before_last.ResidueSum() * steps_per_mass;
+    EXPECT_LT(static_cast<double>(shorter.refine_edges), allowance);
+    EXPECT_LE(static_cast<double>(result.refine_edges), allowance + m);
+  }
+  // Not vacuous: some sources refine, fail to separate, and walk.
+  EXPECT_GT(fallbacks, 0u);
 }
 
 // --- Parity with the full-vector solve -------------------------------------
