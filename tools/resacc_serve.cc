@@ -44,12 +44,16 @@
 //   quit                    ->  bye (and exit 0)
 //   anything else           ->  err <message>
 //
-// `query` and `topk` lines accept optional trailing tokens after the
-// positional fields, in any order (the workload harness emits these —
-// docs/WORKLOADS.md):
+// Lines are split into whitespace-separated tokens. Node ids, top-k and k
+// are unsigned decimal numbers below 2^32: a sign, a non-digit or a wider
+// value gets one err line instead of a truncated id. `query` and `topk`
+// lines accept optional trailing tokens after the positional fields, in
+// any order (the workload harness emits these — docs/WORKLOADS.md):
 //   tenant=<name>       bill the request to this tenant's lane
 //   deadline_ms=<D>     per-request deadline overriding --deadline-ms
-//   degraded=1          accept a deadline-truncated partial result
+//   degraded=0|1        accept a deadline-truncated partial result
+// Each is matched as a whole token; a bad value is an err line, and other
+// words are ignored so the grammar stays forward-compatible.
 //
 // Mutations (docs/API.md "Dynamic graphs") are applied synchronously in
 // the reader thread before later lines are parsed, so a query sent after
@@ -72,14 +76,20 @@
 // pipelining client keeps every worker busy through a plain pipe and a
 // stop-and-wait client still gets each answer immediately.
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <future>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "resacc/graph/dynamic/mutable_graph_view.h"
 #include "resacc/graph/graph_io.h"
@@ -113,31 +123,76 @@ struct OutputItem {
   std::string literal;
 };
 
-// Optional trailing tokens on query/topk lines (tenant=, deadline_ms=,
-// degraded=1). Order-independent; unknown words are ignored so the verb
-// grammar stays forward-compatible.
-struct LineTokens {
+// A request line split at whitespace.
+std::vector<std::string_view> SplitTokens(const char* line) {
+  std::vector<std::string_view> tokens;
+  const char* p = line;
+  while (*p != '\0') {
+    while (*p == ' ' || *p == '\t' || *p == '\r' || *p == '\n') ++p;
+    const char* begin = p;
+    while (*p != '\0' && *p != ' ' && *p != '\t' && *p != '\r' &&
+           *p != '\n') {
+      ++p;
+    }
+    if (p != begin) {
+      tokens.emplace_back(begin, static_cast<std::size_t>(p - begin));
+    }
+  }
+  return tokens;
+}
+
+// An unsigned decimal below 2^32, the whole token: no sign, no suffix, and
+// no silent truncation of a wider value.
+bool ParseU32(std::string_view token, std::uint32_t* value) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *value);
+  return ec == std::errc() && ptr == end;
+}
+
+// A parsed `query` / `topk` line: `<verb> <source> [count] [key=value
+// ...]`. The trailing tokens (tenant=, deadline_ms=, degraded=) are
+// order-independent; unknown words are ignored so the verb grammar stays
+// forward-compatible.
+struct RequestLine {
+  NodeId source = 0;
+  std::uint32_t count = 10;
   std::string tenant;
   double deadline_seconds = 0.0;
   bool allow_degraded = false;
 };
 
-LineTokens ParseLineTokens(const char* line) {
-  LineTokens tokens;
-  if (const char* p = std::strstr(line, "deadline_ms=")) {
-    tokens.deadline_seconds = std::atof(p + 12) / 1e3;
+// The count (default 10) is the token after the source unless that token
+// is a key=value word. False when the source or count is not a 32-bit unsigned
+// decimal or a known key has a bad value.
+bool ParseRequestLine(std::span<const std::string_view> tokens,
+                      RequestLine* request) {
+  if (tokens.size() < 2 || !ParseU32(tokens[1], &request->source)) {
+    return false;
   }
-  if (std::strstr(line, "degraded=1") != nullptr) {
-    tokens.allow_degraded = true;
+  std::size_t next = 2;
+  if (next < tokens.size() &&
+      tokens[next].find('=') == std::string_view::npos) {
+    if (!ParseU32(tokens[next], &request->count)) return false;
+    ++next;
   }
-  if (const char* p = std::strstr(line, "tenant=")) {
-    p += 7;
-    while (*p != '\0' && *p != ' ' && *p != '\t' && *p != '\n' &&
-           *p != '\r') {
-      tokens.tenant.push_back(*p++);
+  for (const std::string_view token : tokens.subspan(next)) {
+    if (token.starts_with("tenant=")) {
+      request->tenant = std::string(token.substr(7));
+    } else if (token.starts_with("deadline_ms=")) {
+      const std::string value(token.substr(12));
+      char* end = nullptr;
+      const double ms = std::strtod(value.c_str(), &end);
+      if (value.empty() || *end != '\0' || !std::isfinite(ms) || ms < 0.0) {
+        return false;
+      }
+      request->deadline_seconds = ms / 1e3;
+    } else if (token == "degraded=1" || token == "degraded=0") {
+      request->allow_degraded = token.back() == '1';
+    } else if (token.starts_with("degraded=")) {
+      return false;
     }
   }
-  return tokens;
+  return true;
 }
 
 void PrintResponse(NodeId source, std::size_t top_k,
@@ -393,51 +448,48 @@ int main(int argc, char** argv) {
   char line[256];
   bool quit = false;
   while (!quit && std::fgets(line, sizeof(line), stdin) != nullptr) {
-    char command[32];
-    if (std::sscanf(line, "%31s", command) != 1) continue;
+    const std::vector<std::string_view> tokens = SplitTokens(line);
+    if (tokens.empty()) continue;
+    const std::string_view command = tokens[0];
 
-    if (std::strcmp(command, "query") == 0) {
-      unsigned long source = 0;
-      unsigned long top_k = 10;
-      if (std::sscanf(line, "query %lu %lu", &source, &top_k) < 1) {
+    if (command == "query") {
+      RequestLine parsed;
+      if (!ParseRequestLine(tokens, &parsed)) {
         emit_literal("err malformed query line");
         continue;
       }
       // Full-solve semantics: top_k stays 0 on the request (top-k mode is
       // the `topk` verb); the printed top list is cut client-side.
-      const LineTokens tokens = ParseLineTokens(line);
       QueryRequest request;
-      request.source = static_cast<NodeId>(source);
-      request.deadline_seconds = tokens.deadline_seconds;
-      request.allow_degraded = allow_degraded || tokens.allow_degraded;
-      request.tenant = tokens.tenant;
+      request.source = parsed.source;
+      request.deadline_seconds = parsed.deadline_seconds;
+      request.allow_degraded = allow_degraded || parsed.allow_degraded;
+      request.tenant = parsed.tenant;
       OutputItem item;
       item.kind = OutputItem::Kind::kResponse;
       item.source = request.source;
-      item.top_k = static_cast<std::size_t>(top_k);
+      item.top_k = parsed.count;
       item.future = service.Submit(request);
       output.Push(std::move(item));  // blocks once `window` are in flight
-    } else if (std::strcmp(command, "topk") == 0) {
-      unsigned long source = 0;
-      unsigned long k = 10;
-      if (std::sscanf(line, "topk %lu %lu", &source, &k) < 1 || k == 0) {
+    } else if (command == "topk") {
+      RequestLine parsed;
+      if (!ParseRequestLine(tokens, &parsed) || parsed.count == 0) {
         emit_literal("err malformed topk line");
         continue;
       }
-      const LineTokens tokens = ParseLineTokens(line);
       QueryRequest request;
-      request.source = static_cast<NodeId>(source);
-      request.top_k = static_cast<std::size_t>(k);
-      request.deadline_seconds = tokens.deadline_seconds;
-      request.allow_degraded = allow_degraded || tokens.allow_degraded;
-      request.tenant = tokens.tenant;
+      request.source = parsed.source;
+      request.top_k = parsed.count;
+      request.deadline_seconds = parsed.deadline_seconds;
+      request.allow_degraded = allow_degraded || parsed.allow_degraded;
+      request.tenant = parsed.tenant;
       OutputItem item;
       item.kind = OutputItem::Kind::kResponse;
       item.source = request.source;
       item.topk_mode = true;
       item.future = service.Submit(request);
       output.Push(std::move(item));
-    } else if (std::strcmp(command, "info") == 0) {
+    } else if (command == "info") {
       const Graph live = view->Snapshot();
       const MutableGraphStats graph_stats = view->stats();
       char buf[192];
@@ -451,21 +503,18 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(graph_stats.generation),
                     graph_stats.overlay_rows);
       emit_literal(buf);
-    } else if (std::strcmp(command, "addedge") == 0 ||
-               std::strcmp(command, "rmedge") == 0) {
-      unsigned long u = 0;
-      unsigned long v = 0;
-      if (std::sscanf(line, "%*s %lu %lu", &u, &v) != 2) {
+    } else if (command == "addedge" || command == "rmedge") {
+      NodeId u = 0;
+      NodeId v = 0;
+      if (tokens.size() < 3 || !ParseU32(tokens[1], &u) ||
+          !ParseU32(tokens[2], &v)) {
         emit_literal("err malformed mutation line");
         continue;
       }
-      const bool remove = command[0] == 'r';
+      const bool remove = command == "rmedge";
       GraphDelta delta;
-      const Status status =
-          remove ? view->RemoveEdge(static_cast<NodeId>(u),
-                                    static_cast<NodeId>(v), &delta)
-                 : view->AddEdge(static_cast<NodeId>(u),
-                                 static_cast<NodeId>(v), &delta);
+      const Status status = remove ? view->RemoveEdge(u, v, &delta)
+                                   : view->AddEdge(u, v, &delta);
       if (!status.ok() && status.code() != StatusCode::kAlreadyExists &&
           status.code() != StatusCode::kNotFound) {
         emit_literal("err " + status.ToString());
@@ -475,11 +524,11 @@ int main(int argc, char** argv) {
       // epoch and needs no service update.
       if (status.ok()) service.UpdateGraph(view->Snapshot(), delta);
       char buf[128];
-      std::snprintf(buf, sizeof(buf), "ok %s %lu %lu applied=%d epoch=%llu",
-                    command, u, v, status.ok() ? 1 : 0,
+      std::snprintf(buf, sizeof(buf), "ok %s %u %u applied=%d epoch=%llu",
+                    remove ? "rmedge" : "addedge", u, v, status.ok() ? 1 : 0,
                     static_cast<unsigned long long>(view->epoch()));
       emit_literal(buf);
-    } else if (std::strcmp(command, "addnode") == 0) {
+    } else if (command == "addnode") {
       GraphDelta delta;
       const NodeId id = view->AddNode(&delta);
       service.UpdateGraph(view->Snapshot(), delta);
@@ -487,7 +536,7 @@ int main(int argc, char** argv) {
       std::snprintf(buf, sizeof(buf), "ok addnode %u epoch=%llu", id,
                     static_cast<unsigned long long>(view->epoch()));
       emit_literal(buf);
-    } else if (std::strcmp(command, "compact") == 0) {
+    } else if (command == "compact") {
       // The compaction callback re-points the service and the gauge; this
       // verb just reports what the fold did.
       const CompactionInfo compaction = view->Compact();
@@ -496,19 +545,19 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(compaction.generation),
                     compaction.folded_rows, compaction.seconds * 1e3);
       emit_literal(buf);
-    } else if (std::strcmp(command, "stats") == 0) {
+    } else if (command == "stats") {
       OutputItem item;
       item.kind = OutputItem::Kind::kStats;
       output.Push(std::move(item));
-    } else if (std::strcmp(command, "metrics") == 0) {
+    } else if (command == "metrics") {
       OutputItem item;
       item.kind = OutputItem::Kind::kMetrics;
       output.Push(std::move(item));
-    } else if (std::strcmp(command, "quit") == 0) {
+    } else if (command == "quit") {
       emit_literal("bye");
       quit = true;
     } else {
-      emit_literal(std::string("err unknown command '") + command + "'");
+      emit_literal("err unknown command '" + std::string(command) + "'");
     }
   }
 
