@@ -46,16 +46,19 @@
 //   RESACC_TOPK_EDGES        graph edges               (default 1000000)
 //   RESACC_TOPK_SOURCES      query sources             (default 32)
 //   RESACC_TOPK_ALPHA        restart probability       (default 0.15)
-//   RESACC_TOPK_DELTA        RWR threshold delta       (default 1e-4)
+//   RESACC_TOPK_DELTA        RWR threshold delta       (default 1e-5)
 //   RESACC_TOPK_RMAXF        OMFWD threshold r_max^f   (default 1e-5)
 //   RESACC_TOPK_HOPS         h-HopFWD hop count        (default 1)
 //   RESACC_TOPK_WALK_SCALE   remedy walk scale         (default 1.0)
+//   RESACC_TOPK_PROFIT_SLACK walk-step price in edges  (default inf)
 //   RESACC_TOPK_REPS         best-of repetitions       (default 3)
 //   RESACC_TOPK_VERIFY       sources checked vs truth  (default 8)
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -337,14 +340,13 @@ int RunTopKRecord(const std::string& json_path) {
       static_cast<std::uint32_t>(GetEnvInt("RESACC_TOPK_HOPS", 1));
   options.walk_scale = GetEnvDouble("RESACC_TOPK_WALK_SCALE", 1.0);
   options.r_max_f = GetEnvDouble("RESACC_TOPK_RMAXF", 1e-5);
-  // The per-stage profit guard only credits a stage with the walks its own
-  // residue drain saves; it cannot see that *finishing* refinement skips the
-  // whole remedy phase. In this walk-dominant regime that marginal account
-  // undervalues the last stages right before separation, so the smoke runs
-  // with a looser slack than the library default — the certificate is what
-  // this bench exists to exercise.
-  options.topk.profit_slack =
-      GetEnvDouble("RESACC_TOPK_PROFIT_SLACK", 256.0);
+  // Unpriced by default: refinement runs until rank k separates or r_max
+  // hits its floor, so the record measures what a certificate is worth at
+  // this config. The library default prices a walk step at 4 pushed edges
+  // and hands a query to the walks once its pushes cost more than they
+  // would; set RESACC_TOPK_PROFIT_SLACK to measure a price.
+  options.topk.profit_slack = GetEnvDouble(
+      "RESACC_TOPK_PROFIT_SLACK", std::numeric_limits<double>::infinity());
 
   ResAccSolver solver(graph, config, options);
   const std::vector<NodeId> sources =
@@ -431,6 +433,12 @@ int RunTopKRecord(const std::string& json_path) {
   std::printf("  certificates vs ground truth (%zu sources): %s\n", verify,
               cert_ok ? "ok" : "VIOLATED");
 
+  // JSON has no infinity: an unpriced run records the price as "inf".
+  char profit_slack[32] = "\"inf\"";
+  if (std::isfinite(options.topk.profit_slack)) {
+    std::snprintf(profit_slack, sizeof(profit_slack), "%g",
+                  options.topk.profit_slack);
+  }
   if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
     std::fprintf(f,
                  "{\n"
@@ -440,7 +448,7 @@ int RunTopKRecord(const std::string& json_path) {
                  "  \"config\": {\"alpha\": %g, \"epsilon\": %g,"
                  " \"delta\": %g, \"p_f\": %g, \"num_hops\": %u,"
                  " \"walk_scale\": %g, \"r_max_f\": %g,"
-                 " \"profit_slack\": %g},\n"
+                 " \"profit_slack\": %s},\n"
                  "  \"sources\": %zu,\n"
                  "  \"full_qps\": %.4f,\n"
                  "  \"topk10_qps\": %.4f,\n"
@@ -456,7 +464,7 @@ int RunTopKRecord(const std::string& json_path) {
                  static_cast<unsigned long long>(graph.num_edges()),
                  config.alpha, config.epsilon, config.delta, config.p_f,
                  options.num_hops, options.walk_scale, options.r_max_f,
-                 options.topk.profit_slack,
+                 profit_slack,
                  sources.size(), full_qps, topk10_qps, topk100_qps,
                  topk10_qps / full_qps, topk100_qps / full_qps, certified10,
                  certified100, verify, cert_ok ? "true" : "false");

@@ -16,7 +16,8 @@
 //
 // This suite is excluded from tier-1: it runs ~1200 full queries. It is
 // labelled `conformance` in CTest and skips itself unless
-// RESACC_CONFORMANCE=1 (the nightly conformance workflow sets both).
+// RESACC_CONFORMANCE=1 (the conformance workflow, run on every pull
+// request, sets both).
 
 #include <algorithm>
 #include <cmath>
@@ -134,7 +135,7 @@ void RunConformance(const SolverFactory& factory,
                     const std::vector<ConformanceGraph>& graphs) {
   if (GetEnvString("RESACC_CONFORMANCE", "").empty()) {
     GTEST_SKIP() << "set RESACC_CONFORMANCE=1 to run the statistical "
-                    "conformance suite (nightly CI job)";
+                    "conformance suite (conformance CI job)";
   }
 
   for (const ConformanceGraph& entry : graphs) {
@@ -246,7 +247,7 @@ void RunTopKConformance(const SolverFactory& factory,
                         const std::vector<ConformanceGraph>& graphs) {
   if (GetEnvString("RESACC_CONFORMANCE", "").empty()) {
     GTEST_SKIP() << "set RESACC_CONFORMANCE=1 to run the statistical "
-                    "conformance suite (nightly CI job)";
+                    "conformance suite (conformance CI job)";
   }
   constexpr std::size_t kK = 10;
 
@@ -318,7 +319,7 @@ TEST(GuaranteeConformanceTest, MonteCarloTopKPrecision) {
 TEST(GuaranteeConformanceTest, MutatedGraphsBitIdenticalToFreshLoad) {
   if (GetEnvString("RESACC_CONFORMANCE", "").empty()) {
     GTEST_SKIP() << "set RESACC_CONFORMANCE=1 to run the statistical "
-                    "conformance suite (nightly CI job)";
+                    "conformance suite (conformance CI job)";
   }
   const SolverFactory factories[] = {MakeResAcc(), MakeFora(),
                                      MakeMonteCarlo()};
