@@ -159,6 +159,17 @@ struct RequestLine {
   std::string tenant;
   double deadline_seconds = 0.0;
   bool allow_degraded = false;
+
+  // The service request (top_k left 0); `server_allows_degraded` is the
+  // --allow-degraded flag.
+  QueryRequest ToRequest(bool server_allows_degraded) const {
+    QueryRequest request;
+    request.source = source;
+    request.deadline_seconds = deadline_seconds;
+    request.allow_degraded = server_allows_degraded || allow_degraded;
+    request.tenant = tenant;
+    return request;
+  }
 };
 
 // The count (default 10) is the token after the source unless that token
@@ -460,11 +471,7 @@ int main(int argc, char** argv) {
       }
       // Full-solve semantics: top_k stays 0 on the request (top-k mode is
       // the `topk` verb); the printed top list is cut client-side.
-      QueryRequest request;
-      request.source = parsed.source;
-      request.deadline_seconds = parsed.deadline_seconds;
-      request.allow_degraded = allow_degraded || parsed.allow_degraded;
-      request.tenant = parsed.tenant;
+      const QueryRequest request = parsed.ToRequest(allow_degraded);
       OutputItem item;
       item.kind = OutputItem::Kind::kResponse;
       item.source = request.source;
@@ -477,12 +484,8 @@ int main(int argc, char** argv) {
         emit_literal("err malformed topk line");
         continue;
       }
-      QueryRequest request;
-      request.source = parsed.source;
+      QueryRequest request = parsed.ToRequest(allow_degraded);
       request.top_k = parsed.count;
-      request.deadline_seconds = parsed.deadline_seconds;
-      request.allow_degraded = allow_degraded || parsed.allow_degraded;
-      request.tenant = parsed.tenant;
       OutputItem item;
       item.kind = OutputItem::Kind::kResponse;
       item.source = request.source;
