@@ -24,7 +24,12 @@
 // dense graph (m/n = 200, the serving regime batching is built for — the
 // shared rounds amortize one CSR row read across every lane that
 // scheduled the node, so the win scales with row reuse) and a full query
-// config recorded verbatim in the JSON. Knobs:
+// config recorded verbatim in the JSON. The gated rows pin OMFWD's
+// threshold to the paper's r_max_f = 1/(10 m), the push-heavy regime the
+// shared rounds exist for. At the priced default (ResAccOptions::r_max_f)
+// this config's OMFWD ends near its seed round and lanes share no rounds,
+// so the record adds ungated default_serial_qps / default_batch16_qps rows
+// (still held to bit-identity and the epsilon bound). Knobs:
 //   RESACC_BATCH_NODES       graph nodes               (default 5000)
 //   RESACC_BATCH_EDGES       graph edges               (default 1000000)
 //   RESACC_BATCH_SOURCES     query sources             (default 32)
@@ -147,6 +152,40 @@ double BatchQps(BatchSolver& solver, const std::vector<NodeId>& sources,
   return static_cast<double>(sources.size()) / best_seconds;
 }
 
+// Summed per-phase seconds of a serial pass.
+struct SerialPhases {
+  double hop = 0.0;
+  double omfwd = 0.0;
+  double remedy = 0.0;
+};
+
+// Serial counterpart of BatchQps: one QueryControlled per source, best of
+// `reps`. `phases`, when non-null, receives the best rep's phase split.
+double SerialQps(ResAccSolver& solver, const std::vector<NodeId>& sources,
+                 int reps, std::vector<ControlledQueryResult>* results,
+                 SerialPhases* phases) {
+  double best_seconds = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    std::vector<ControlledQueryResult> rep_results;
+    rep_results.reserve(sources.size());
+    SerialPhases rep_phases;
+    Timer timer;
+    for (NodeId s : sources) {
+      rep_results.push_back(solver.QueryControlled(s, QueryControl{}));
+      rep_phases.hop += solver.last_stats().hhop_seconds;
+      rep_phases.omfwd += solver.last_stats().omfwd_seconds;
+      rep_phases.remedy += solver.last_stats().remedy_seconds;
+    }
+    const double seconds = timer.ElapsedSeconds();
+    if (rep == 0 && results != nullptr) *results = std::move(rep_results);
+    if (rep == 0 || seconds < best_seconds) {
+      best_seconds = seconds;
+      if (phases != nullptr) *phases = rep_phases;
+    }
+  }
+  return static_cast<double>(sources.size()) / best_seconds;
+}
+
 int RunBatchRecord(const std::string& json_path) {
   const NodeId nodes =
       static_cast<NodeId>(GetEnvInt("RESACC_BATCH_NODES", 5000));
@@ -166,13 +205,17 @@ int RunBatchRecord(const std::string& json_path) {
   config.p_f = 1e-3;
   config.dangling = DanglingPolicy::kAbsorb;
   config.seed = 7;
-  ResAccOptions options;
-  options.num_hops =
+  ResAccOptions default_options;
+  default_options.num_hops =
       static_cast<std::uint32_t>(GetEnvInt("RESACC_BATCH_HOPS", 1));
-  options.walk_scale = GetEnvDouble("RESACC_BATCH_WALK_SCALE", 0.01);
+  default_options.walk_scale = GetEnvDouble("RESACC_BATCH_WALK_SCALE", 0.01);
+  ResAccOptions options = default_options;
+  options.r_max_f = 1.0 / (10.0 * static_cast<double>(graph.num_edges()));
 
   ResAccSolver serial(graph, config, options);
   BatchSolver batch(graph, config, options);
+  ResAccSolver default_serial(graph, config, default_options);
+  BatchSolver default_batch(graph, config, default_options);
   const std::vector<NodeId> sources =
       PickUniformSources(graph, num_sources, /*seed=*/7 ^ 0xba7c);
 
@@ -180,31 +223,9 @@ int RunBatchRecord(const std::string& json_path) {
       std::max(1, static_cast<int>(GetEnvInt("RESACC_BATCH_REPS", 3)));
 
   std::vector<ControlledQueryResult> serial_results;
-  double serial_hop = 0.0, serial_omfwd = 0.0, serial_remedy = 0.0;
-  double serial_best_seconds = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    std::vector<ControlledQueryResult> rep_results;
-    rep_results.reserve(sources.size());
-    double hop = 0.0, omfwd = 0.0, remedy = 0.0;
-    Timer serial_timer;
-    for (NodeId s : sources) {
-      rep_results.push_back(serial.QueryControlled(s, QueryControl{}));
-      hop += serial.last_stats().hhop_seconds;
-      omfwd += serial.last_stats().omfwd_seconds;
-      remedy += serial.last_stats().remedy_seconds;
-    }
-    const double seconds = serial_timer.ElapsedSeconds();
-    if (rep == 0) serial_results = std::move(rep_results);
-    if (rep == 0 || seconds < serial_best_seconds) {
-      serial_best_seconds = seconds;
-      serial_hop = hop;
-      serial_omfwd = omfwd;
-      serial_remedy = remedy;
-    }
-  }
+  SerialPhases serial_phases;
   const double serial_qps =
-      static_cast<double>(sources.size()) / serial_best_seconds;
-
+      SerialQps(serial, sources, reps, &serial_results, &serial_phases);
   std::vector<ControlledQueryResult> batch4_results;
   std::vector<ControlledQueryResult> batch16_results;
   const double batch4_qps =
@@ -212,50 +233,74 @@ int RunBatchRecord(const std::string& json_path) {
   const double batch16_qps =
       BatchQps(batch, sources, 16, reps, &batch16_results);
 
+  std::vector<ControlledQueryResult> default_serial_results;
+  std::vector<ControlledQueryResult> default_batch16_results;
+  const double default_serial_qps = SerialQps(
+      default_serial, sources, reps, &default_serial_results, nullptr);
+  const double default_batch16_qps =
+      BatchQps(default_batch, sources, 16, reps, &default_batch16_results);
+
   bool bit_identical = true;
   double max_achieved_epsilon = 0.0;
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    for (const auto* results : {&batch4_results, &batch16_results}) {
-      const ControlledQueryResult& r = (*results)[i];
-      max_achieved_epsilon = std::max(max_achieved_epsilon,
-                                      r.achieved_epsilon);
-      if (r.scores != serial_results[i].scores) {
+  const auto check_lanes = [&](const char* label,
+                               const std::vector<ControlledQueryResult>& want,
+                               const std::vector<ControlledQueryResult>& got) {
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      max_achieved_epsilon =
+          std::max(max_achieved_epsilon, got[i].achieved_epsilon);
+      if (got[i].scores != want[i].scores) {
         bit_identical = false;
-        std::fprintf(stderr,
-                     "[bench_serve] MISMATCH at source %u (batch size %zu)\n",
-                     sources[i], results == &batch4_results ? 4ul : 16ul);
+        std::fprintf(stderr, "[bench_serve] MISMATCH at source %u (%s)\n",
+                     sources[i], label);
       }
     }
-  }
+  };
+  check_lanes("batch size 4", serial_results, batch4_results);
+  check_lanes("batch size 16", serial_results, batch16_results);
+  check_lanes("default r_max_f, batch size 16", default_serial_results,
+              default_batch16_results);
   const bool epsilon_ok = max_achieved_epsilon <= config.epsilon;
   const bool batch_wins = batch4_qps > serial_qps;
 
-  std::printf("batched-vs-serial (ResAcc, n=%u, m=%llu, %zu sources):\n",
+  std::printf("batched-vs-serial (ResAcc, n=%u, m=%llu, %zu sources, "
+              "r_max_f=%g):\n",
               graph.num_nodes(),
               static_cast<unsigned long long>(graph.num_edges()),
-              sources.size());
+              sources.size(), options.r_max_f);
   std::printf("  serial   %8.2f qps\n", serial_qps);
   std::printf("  batch=4  %8.2f qps  (%.2fx)\n", batch4_qps,
               batch4_qps / serial_qps);
   std::printf("  batch=16 %8.2f qps  (%.2fx)\n", batch16_qps,
               batch16_qps / serial_qps);
+  // Stats of a solver's last 16-lane chunk.
+  const auto print_batch_stats = [](const char* label,
+                                    const BatchQueryStats& stats) {
+    std::printf("  [%s] pushes=%llu pops=%llu lanes/pop=%.2f "
+                "dense=%llu (%.1f%%) edges=%llu\n",
+                label, static_cast<unsigned long long>(stats.push_operations),
+                static_cast<unsigned long long>(stats.shared_node_pops),
+                stats.shared_node_pops > 0
+                    ? static_cast<double>(stats.push_operations) /
+                          static_cast<double>(stats.shared_node_pops)
+                    : 0.0,
+                static_cast<unsigned long long>(stats.dense_lane_pushes),
+                100.0 * static_cast<double>(stats.dense_lane_pushes) /
+                    static_cast<double>(std::max<std::uint64_t>(
+                        1, stats.push_operations)),
+                static_cast<unsigned long long>(stats.edge_traversals));
+  };
   const BatchQueryStats& bstats = batch.last_stats();
-  std::printf("  [batch=16 stats] pushes=%llu pops=%llu lanes/pop=%.2f "
-              "dense=%llu (%.1f%%) edges=%llu\n",
-              static_cast<unsigned long long>(bstats.push_operations),
-              static_cast<unsigned long long>(bstats.shared_node_pops),
-              static_cast<double>(bstats.push_operations) /
-                  static_cast<double>(std::max<std::uint64_t>(
-                      1, bstats.shared_node_pops)),
-              static_cast<unsigned long long>(bstats.dense_lane_pushes),
-              100.0 * static_cast<double>(bstats.dense_lane_pushes) /
-                  static_cast<double>(std::max<std::uint64_t>(
-                      1, bstats.push_operations)),
-              static_cast<unsigned long long>(bstats.edge_traversals));
+  print_batch_stats("batch=16 stats", bstats);
   std::printf("  [phases, last chunk vs serial total] hop %.3fs/%.3fs  "
               "omfwd %.3fs/%.3fs  remedy %.3fs/%.3fs\n",
-              bstats.hop_seconds, serial_hop, bstats.omfwd_seconds,
-              serial_omfwd, bstats.remedy_seconds, serial_remedy);
+              bstats.hop_seconds, serial_phases.hop, bstats.omfwd_seconds,
+              serial_phases.omfwd, bstats.remedy_seconds,
+              serial_phases.remedy);
+  std::printf("  default r_max_f=%g (ungated): serial %8.2f qps  "
+              "batch=16 %8.2f qps  (%.2fx)\n",
+              default_serial.effective_r_max_f(), default_serial_qps,
+              default_batch16_qps, default_batch16_qps / default_serial_qps);
+  print_batch_stats("default batch=16 stats", default_batch.last_stats());
   std::printf("  bit_identical=%s  max_achieved_epsilon=%.6g (<= %.6g: %s)\n",
               bit_identical ? "true" : "false", max_achieved_epsilon,
               config.epsilon, epsilon_ok ? "ok" : "VIOLATED");
@@ -268,13 +313,16 @@ int RunBatchRecord(const std::string& json_path) {
                  " \"generator\": \"chung_lu_powerlaw_2.1\"},\n"
                  "  \"config\": {\"alpha\": %g, \"epsilon\": %g,"
                  " \"delta\": %g, \"p_f\": %g, \"num_hops\": %u,"
-                 " \"walk_scale\": %g},\n"
+                 " \"walk_scale\": %g, \"r_max_f\": %g},\n"
                  "  \"sources\": %zu,\n"
                  "  \"serial_qps\": %.4f,\n"
                  "  \"batch4_qps\": %.4f,\n"
                  "  \"batch16_qps\": %.4f,\n"
                  "  \"speedup_batch4\": %.4f,\n"
                  "  \"speedup_batch16\": %.4f,\n"
+                 "  \"default_r_max_f\": %g,\n"
+                 "  \"default_serial_qps\": %.4f,\n"
+                 "  \"default_batch16_qps\": %.4f,\n"
                  "  \"bit_identical\": %s,\n"
                  "  \"configured_epsilon\": %.6g,\n"
                  "  \"max_achieved_epsilon\": %.6g\n"
@@ -282,11 +330,12 @@ int RunBatchRecord(const std::string& json_path) {
                  graph.num_nodes(),
                  static_cast<unsigned long long>(graph.num_edges()),
                  config.alpha, config.epsilon, config.delta, config.p_f,
-                 options.num_hops, options.walk_scale,
+                 options.num_hops, options.walk_scale, options.r_max_f,
                  sources.size(), serial_qps, batch4_qps, batch16_qps,
                  batch4_qps / serial_qps, batch16_qps / serial_qps,
-                 bit_identical ? "true" : "false", config.epsilon,
-                 max_achieved_epsilon);
+                 default_serial.effective_r_max_f(), default_serial_qps,
+                 default_batch16_qps, bit_identical ? "true" : "false",
+                 config.epsilon, max_achieved_epsilon);
     std::fclose(f);
     std::printf("  record written to %s\n", json_path.c_str());
   } else {

@@ -1,5 +1,6 @@
 #include "resacc/core/resacc_solver.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "resacc/core/omfwd.h"
@@ -55,6 +56,22 @@ struct SolverMetrics {
   }
 };
 
+// OMFWD's default r_max^f (DESIGN.md "Priced OMFWD threshold"). A push at
+// v costs d(v) edges and saves r(v) * c * walk_scale remedy walk steps
+// (Theorem 3), so at `profit_slack` pushed edges per walk step it pays iff
+// r(v) / d(v) >= 1 / (profit_slack * c * walk_scale): Definition 6's push
+// condition at that threshold. Never below the paper's 1/(10 m), which an
+// infinite price gives bit for bit and a price or walk_scale <= 0 (or NaN)
+// falls back to.
+Score DefaultRMaxF(const Graph& graph, const RwrConfig& config,
+                   const ResAccOptions& options) {
+  const Score paper = 1.0 / (10.0 * static_cast<Score>(graph.num_edges()));
+  const double price = options.topk.profit_slack;
+  if (!(price > 0.0) || !(options.walk_scale > 0.0)) return paper;
+  return std::max(paper, 1.0 / (price * config.WalkCountCoefficient() *
+                                options.walk_scale));
+}
+
 }  // namespace
 
 ResAccPipeline::ResAccPipeline(const Graph& graph, const RwrConfig& config,
@@ -62,9 +79,8 @@ ResAccPipeline::ResAccPipeline(const Graph& graph, const RwrConfig& config,
     : graph_(graph),
       config_(config),
       options_(options),
-      r_max_f_(options.r_max_f > 0.0
-                   ? options.r_max_f
-                   : 1.0 / (10.0 * static_cast<Score>(graph.num_edges()))),
+      r_max_f_(options.r_max_f > 0.0 ? options.r_max_f
+                                     : DefaultRMaxF(graph, config, options)),
       walk_engine_(options.walk_threads) {
   RESACC_CHECK(config_.Validate().ok());
   RESACC_CHECK(options_.r_max_hop > 0.0);

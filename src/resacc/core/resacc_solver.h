@@ -25,7 +25,11 @@ namespace resacc {
 struct ResAccOptions {
   // r_max^hop of the h-HopFWD phase. Paper default: 1e-14.
   Score r_max_hop = 1e-14;
-  // r_max^f of the OMFWD phase. <= 0 selects the paper default 1/(10 m).
+  // r_max^f of the OMFWD phase, used as given when > 0. <= 0 selects the
+  // priced default max(1/(10 m), 1/(topk.profit_slack * c * walk_scale)):
+  // the paper's 1/(10 m), raised where a push would cost more edges than
+  // the remedy walk steps it saves (c = WalkCountCoefficient(); DESIGN.md
+  // "Priced OMFWD threshold"). An infinite price gives 1/(10 m) exactly.
   Score r_max_f = 0.0;
   // h; the paper uses 2 everywhere except DBLP (3). See Fig. 21.
   std::uint32_t num_hops = 2;
@@ -37,9 +41,10 @@ struct ResAccOptions {
   // Remedy walk multiplier n_scale (Appendix F); 1.0 = Theorem 3 count.
   double walk_scale = 1.0;
 
-  // Top-k refinement knobs (QueryTopK only; full queries never read
-  // them). Part of the serve-layer config hash: they shape the cached
-  // top-k payloads.
+  // Top-k refinement knobs. `topk.profit_slack` is also the walk-step
+  // price of the default r_max_f above, so with r_max_f <= 0 it shapes
+  // full queries too; the other knobs only QueryTopK reads. Part of the
+  // serve-layer config hash: they shape the cached payloads.
   TopKOptions topk;
 
   // Hybrid local/dense selection (core/power_iter.h): when enabled, a
@@ -102,7 +107,8 @@ class ResAccPipeline {
   const Graph& graph() const { return graph_; }
   const RwrConfig& config() const { return config_; }
   const ResAccOptions& options() const { return options_; }
-  // Effective r_max^f after applying the 1/(10 m) default.
+  // Effective r_max^f: options().r_max_f when > 0, else the priced default
+  // (see ResAccOptions::r_max_f).
   Score r_max_f() const { return r_max_f_; }
 
   // h-HopFWD options of one query, polling `cancel`. With the hybrid
@@ -173,7 +179,8 @@ class ResAccSolver : public SsrwrAlgorithm {
   // Diagnostics of the most recent Query call.
   const ResAccQueryStats& last_stats() const { return last_stats_; }
 
-  // Effective r_max^f after applying the 1/(10 m) default.
+  // Effective r_max^f: options().r_max_f when > 0, else the priced default
+  // (see ResAccOptions::r_max_f).
   Score effective_r_max_f() const { return pipeline_.r_max_f(); }
 
   const RwrConfig& config() const { return pipeline_.config(); }

@@ -35,11 +35,15 @@ struct TopKOptions {
   // separated by a finite push, so a floor is mandatory and keeps
   // r_max > 0 whatever the price.
   double min_r_max_factor = 1e-7;
-  // The price of one remedy walk step in pushed edges. Refinement may push
-  // at most `profit_slack` * r_sum * WalkCountCoefficient() * walk_scale /
-  // alpha edges in total, at the residue sum r_sum it has reached; it is
-  // checked before each stage and at every round boundary inside one.
-  // Infinity never prices refinement out (only the floor stops it).
+  // The price of one remedy walk step in pushed edges, for refinement and
+  // OMFWD alike. Refinement may push at most `profit_slack` * r_sum *
+  // WalkCountCoefficient() * walk_scale / alpha edges in total, at the
+  // residue sum r_sum it has reached; it is checked before each stage and
+  // at every round boundary inside one. The default OMFWD threshold
+  // (ResAccOptions::r_max_f <= 0) is max(1/(10 m), 1 / (profit_slack *
+  // WalkCountCoefficient() * walk_scale)): a push there costs at most
+  // `profit_slack` edges per walk step it saves. Infinity never prices
+  // refinement out (only the floor stops it) and leaves OMFWD at 1/(10 m).
   double profit_slack = 4.0;
 };
 

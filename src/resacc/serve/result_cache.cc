@@ -39,8 +39,10 @@ std::uint64_t HashQueryConfig(const RwrConfig& config,
   HashValue(h, options.max_hop_set_fraction);
   HashValue(h, options.walk_scale);
   // Top-k refinement knobs shape cached TopKResult payloads (stage
-  // schedule => which entries certify and with what bounds), so they are
-  // part of the key even though full vectors ignore them.
+  // schedule => which entries certify and with what bounds). profit_slack
+  // also prices the default r_max_f (ResAccOptions::r_max_f), so with
+  // r_max_f <= 0 it shapes full vectors too; walk_scale above is the
+  // default's other input.
   HashValue(h, options.topk.shrink);
   HashValue(h, options.topk.min_r_max_factor);
   HashValue(h, options.topk.profit_slack);

@@ -54,10 +54,19 @@ struct Answer {
 // solvers' own set-up or finish.
 Answer ReplayChain(const Graph& graph, const RwrConfig& config,
                    const ResAccOptions& options, const OracleQuery& query) {
-  const Score r_max_f =
-      options.r_max_f > 0.0
-          ? options.r_max_f
-          : 1.0 / (10.0 * static_cast<Score>(graph.num_edges()));
+  // OMFWD's default threshold, restated (DESIGN.md "Priced OMFWD
+  // threshold"): the paper's 1/(10 m), raised to 1/(price * c *
+  // walk_scale) where a push saves fewer walk steps than it costs edges.
+  Score r_max_f = options.r_max_f;
+  if (!(r_max_f > 0.0)) {
+    r_max_f = 1.0 / (10.0 * static_cast<Score>(graph.num_edges()));
+    const double price = options.topk.profit_slack;
+    if (price > 0.0 && options.walk_scale > 0.0) {
+      const double priced = 1.0 / (price * config.WalkCountCoefficient() *
+                                   options.walk_scale);
+      r_max_f = std::max(r_max_f, priced);
+    }
+  }
   const bool hybrid = options.hybrid.enable && options.use_hop_subgraph;
   PushState state(graph.num_nodes());
   WalkEngine engine(1);

@@ -44,11 +44,14 @@
 //   quit                    ->  bye (and exit 0)
 //   anything else           ->  err <message>
 //
-// Lines are split into whitespace-separated tokens. Node ids, top-k and k
-// are unsigned decimal numbers below 2^32: a sign, a non-digit or a wider
-// value gets one err line instead of a truncated id. `query` and `topk`
-// lines accept optional trailing tokens after the positional fields, in
-// any order (the workload harness emits these — docs/WORKLOADS.md):
+// A request line may be up to 4096 bytes long, newline excluded; a longer
+// line is read to its end and answered with one `err line longer than
+// 4096 bytes`. Lines are split into whitespace-separated tokens. Node ids,
+// top-k and k are unsigned decimal numbers below 2^32: a sign, a non-digit
+// or a wider value gets one err line instead of a truncated id. `query` and
+// `topk` lines accept optional trailing tokens after the positional
+// fields, in any order (the workload harness emits these —
+// docs/WORKLOADS.md):
 //   tenant=<name>       bill the request to this tenant's lane
 //   deadline_ms=<D>     per-request deadline overriding --deadline-ms
 //   degraded=0|1        accept a deadline-truncated partial result
@@ -81,6 +84,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <span>
@@ -122,6 +126,34 @@ struct OutputItem {
   std::future<QueryResponse> future;
   std::string literal;
 };
+
+// Longest request line accepted, newline excluded. A longer line is still
+// read to its end and answered with exactly one err line, so responses stay
+// aligned with requests.
+constexpr std::size_t kMaxLineBytes = 4096;
+
+// Reads the next whole line of `in` into `line`, without its newline.
+// Returns false at end of input. Sets `*too_long` when the line exceeds
+// kMaxLineBytes; `line` then holds no more than its first kMaxLineBytes.
+bool ReadLine(std::FILE* in, std::string& line, bool* too_long) {
+  line.clear();
+  *too_long = false;
+  char chunk[512];
+  bool read_any = false;
+  while (std::fgets(chunk, sizeof(chunk), in) != nullptr) {
+    read_any = true;
+    std::size_t length = std::strlen(chunk);
+    const bool complete = length > 0 && chunk[length - 1] == '\n';
+    if (complete) --length;
+    if (*too_long || line.size() + length > kMaxLineBytes) {
+      *too_long = true;
+    } else {
+      line.append(chunk, length);
+    }
+    if (complete) break;
+  }
+  return read_any;
+}
 
 // A request line split at whitespace.
 std::vector<std::string_view> SplitTokens(const char* line) {
@@ -456,10 +488,16 @@ int main(int argc, char** argv) {
     output.Push(std::move(item));
   };
 
-  char line[256];
+  std::string line;
+  bool too_long = false;
   bool quit = false;
-  while (!quit && std::fgets(line, sizeof(line), stdin) != nullptr) {
-    const std::vector<std::string_view> tokens = SplitTokens(line);
+  while (!quit && ReadLine(stdin, line, &too_long)) {
+    if (too_long) {
+      emit_literal("err line longer than " + std::to_string(kMaxLineBytes) +
+                   " bytes");
+      continue;
+    }
+    const std::vector<std::string_view> tokens = SplitTokens(line.c_str());
     if (tokens.empty()) continue;
     const std::string_view command = tokens[0];
 
