@@ -12,33 +12,6 @@
 //   RESACC_SERVE_ZIPF     Zipfian theta                (default 0.99)
 //   RESACC_SERVE_TOPK     top-k mode k; 0 = full-vector (default 0)
 //
-// With `--batch_json=PATH` the binary instead records the batched-vs-serial
-// solver comparison (BatchSolver against ResAccSolver on the 1M-edge bench
-// graph): QPS at batch sizes {1 (serial), 4, 16}, a per-source bit-identity
-// check, and the per-lane epsilon accounting. The JSON record is the CI
-// artifact; the process exits non-zero unless every batched score is
-// bit-identical to serial, every lane's achieved epsilon is within the
-// configured epsilon, and batch >= 4 beats serial throughput.
-//
-// The batch record uses its own configuration rather than BenchConfig: a
-// dense graph (m/n = 200, the serving regime batching is built for — the
-// shared rounds amortize one CSR row read across every lane that
-// scheduled the node, so the win scales with row reuse) and a full query
-// config recorded verbatim in the JSON. The gated rows pin OMFWD's
-// threshold to the paper's r_max_f = 1/(10 m), the push-heavy regime the
-// shared rounds exist for. At the priced default (ResAccOptions::r_max_f)
-// this config's OMFWD ends near its seed round and lanes share no rounds,
-// so the record adds ungated default_serial_qps / default_batch16_qps rows
-// (still held to bit-identity and the epsilon bound). Knobs:
-//   RESACC_BATCH_NODES       graph nodes               (default 5000)
-//   RESACC_BATCH_EDGES       graph edges               (default 1000000)
-//   RESACC_BATCH_SOURCES     query sources             (default 32)
-//   RESACC_BATCH_ALPHA       restart probability       (default 0.15)
-//   RESACC_BATCH_DELTA       RWR threshold delta       (default 0.01)
-//   RESACC_BATCH_HOPS        h-HopFWD hop count        (default 1)
-//   RESACC_BATCH_WALK_SCALE  remedy walk scale         (default 0.01)
-//   RESACC_BATCH_REPS        best-of repetitions       (default 3)
-//
 // With `--topk_json=PATH` the binary records the top-k-vs-full-vector
 // solver comparison (docs/QUERY_MODES.md "Top-k"): ResAccSolver::QueryTopK
 // at k in {10, 100} against full QueryControlled on a 1M-edge graph, in a
@@ -69,7 +42,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "resacc/core/batch_solver.h"
 #include "resacc/core/resacc_solver.h"
 #include "resacc/eval/ground_truth.h"
 #include "resacc/eval/sources.h"
@@ -133,221 +105,11 @@ void AddRow(TextTable& table, const char* phase, const PhaseResult& r,
   table.AddRow({phase, qps, p50, p95, p99, hit, saved});
 }
 
-// Times `solver.QueryAllChunked(sources, batch_size)` over `reps`
+// Times one solver mode (thunk called once per source) over `reps`
 // repetitions and returns the best rep's QPS (the solvers are
 // deterministic, so every rep computes identical results; best-of-N
-// suppresses scheduler/VM interference, and serial and batched runs get
-// the same treatment).
-double BatchQps(BatchSolver& solver, const std::vector<NodeId>& sources,
-                std::size_t batch_size, int reps,
-                std::vector<ControlledQueryResult>* results) {
-  double best_seconds = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    Timer timer;
-    auto out = solver.QueryAllChunked(sources, batch_size);
-    const double seconds = timer.ElapsedSeconds();
-    if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
-    if (results != nullptr && rep == 0) *results = std::move(out);
-  }
-  return static_cast<double>(sources.size()) / best_seconds;
-}
-
-// Summed per-phase seconds of a serial pass.
-struct SerialPhases {
-  double hop = 0.0;
-  double omfwd = 0.0;
-  double remedy = 0.0;
-};
-
-// Serial counterpart of BatchQps: one QueryControlled per source, best of
-// `reps`. `phases`, when non-null, receives the best rep's phase split.
-double SerialQps(ResAccSolver& solver, const std::vector<NodeId>& sources,
-                 int reps, std::vector<ControlledQueryResult>* results,
-                 SerialPhases* phases) {
-  double best_seconds = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    std::vector<ControlledQueryResult> rep_results;
-    rep_results.reserve(sources.size());
-    SerialPhases rep_phases;
-    Timer timer;
-    for (NodeId s : sources) {
-      rep_results.push_back(solver.QueryControlled(s, QueryControl{}));
-      rep_phases.hop += solver.last_stats().hhop_seconds;
-      rep_phases.omfwd += solver.last_stats().omfwd_seconds;
-      rep_phases.remedy += solver.last_stats().remedy_seconds;
-    }
-    const double seconds = timer.ElapsedSeconds();
-    if (rep == 0 && results != nullptr) *results = std::move(rep_results);
-    if (rep == 0 || seconds < best_seconds) {
-      best_seconds = seconds;
-      if (phases != nullptr) *phases = rep_phases;
-    }
-  }
-  return static_cast<double>(sources.size()) / best_seconds;
-}
-
-int RunBatchRecord(const std::string& json_path) {
-  const NodeId nodes =
-      static_cast<NodeId>(GetEnvInt("RESACC_BATCH_NODES", 5000));
-  const std::uint64_t edges =
-      static_cast<std::uint64_t>(GetEnvInt("RESACC_BATCH_EDGES", 1000000));
-  const std::size_t num_sources =
-      static_cast<std::size_t>(GetEnvInt("RESACC_BATCH_SOURCES", 32));
-
-  std::fprintf(stderr, "[bench_serve] generating batch bench graph "
-               "(n=%u, m=%llu)...\n", nodes,
-               static_cast<unsigned long long>(edges));
-  const Graph graph = ChungLuPowerLaw(nodes, edges, 2.1, /*seed=*/7);
-  RwrConfig config;
-  config.alpha = GetEnvDouble("RESACC_BATCH_ALPHA", 0.15);
-  config.epsilon = 0.5;
-  config.delta = GetEnvDouble("RESACC_BATCH_DELTA", 0.01);
-  config.p_f = 1e-3;
-  config.dangling = DanglingPolicy::kAbsorb;
-  config.seed = 7;
-  ResAccOptions default_options;
-  default_options.num_hops =
-      static_cast<std::uint32_t>(GetEnvInt("RESACC_BATCH_HOPS", 1));
-  default_options.walk_scale = GetEnvDouble("RESACC_BATCH_WALK_SCALE", 0.01);
-  ResAccOptions options = default_options;
-  options.r_max_f = 1.0 / (10.0 * static_cast<double>(graph.num_edges()));
-
-  ResAccSolver serial(graph, config, options);
-  BatchSolver batch(graph, config, options);
-  ResAccSolver default_serial(graph, config, default_options);
-  BatchSolver default_batch(graph, config, default_options);
-  const std::vector<NodeId> sources =
-      PickUniformSources(graph, num_sources, /*seed=*/7 ^ 0xba7c);
-
-  const int reps =
-      std::max(1, static_cast<int>(GetEnvInt("RESACC_BATCH_REPS", 3)));
-
-  std::vector<ControlledQueryResult> serial_results;
-  SerialPhases serial_phases;
-  const double serial_qps =
-      SerialQps(serial, sources, reps, &serial_results, &serial_phases);
-  std::vector<ControlledQueryResult> batch4_results;
-  std::vector<ControlledQueryResult> batch16_results;
-  const double batch4_qps =
-      BatchQps(batch, sources, 4, reps, &batch4_results);
-  const double batch16_qps =
-      BatchQps(batch, sources, 16, reps, &batch16_results);
-
-  std::vector<ControlledQueryResult> default_serial_results;
-  std::vector<ControlledQueryResult> default_batch16_results;
-  const double default_serial_qps = SerialQps(
-      default_serial, sources, reps, &default_serial_results, nullptr);
-  const double default_batch16_qps =
-      BatchQps(default_batch, sources, 16, reps, &default_batch16_results);
-
-  bool bit_identical = true;
-  double max_achieved_epsilon = 0.0;
-  const auto check_lanes = [&](const char* label,
-                               const std::vector<ControlledQueryResult>& want,
-                               const std::vector<ControlledQueryResult>& got) {
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      max_achieved_epsilon =
-          std::max(max_achieved_epsilon, got[i].achieved_epsilon);
-      if (got[i].scores != want[i].scores) {
-        bit_identical = false;
-        std::fprintf(stderr, "[bench_serve] MISMATCH at source %u (%s)\n",
-                     sources[i], label);
-      }
-    }
-  };
-  check_lanes("batch size 4", serial_results, batch4_results);
-  check_lanes("batch size 16", serial_results, batch16_results);
-  check_lanes("default r_max_f, batch size 16", default_serial_results,
-              default_batch16_results);
-  const bool epsilon_ok = max_achieved_epsilon <= config.epsilon;
-  const bool batch_wins = batch4_qps > serial_qps;
-
-  std::printf("batched-vs-serial (ResAcc, n=%u, m=%llu, %zu sources, "
-              "r_max_f=%g):\n",
-              graph.num_nodes(),
-              static_cast<unsigned long long>(graph.num_edges()),
-              sources.size(), options.r_max_f);
-  std::printf("  serial   %8.2f qps\n", serial_qps);
-  std::printf("  batch=4  %8.2f qps  (%.2fx)\n", batch4_qps,
-              batch4_qps / serial_qps);
-  std::printf("  batch=16 %8.2f qps  (%.2fx)\n", batch16_qps,
-              batch16_qps / serial_qps);
-  // Stats of a solver's last 16-lane chunk.
-  const auto print_batch_stats = [](const char* label,
-                                    const BatchQueryStats& stats) {
-    std::printf("  [%s] pushes=%llu pops=%llu lanes/pop=%.2f "
-                "dense=%llu (%.1f%%) edges=%llu\n",
-                label, static_cast<unsigned long long>(stats.push_operations),
-                static_cast<unsigned long long>(stats.shared_node_pops),
-                stats.shared_node_pops > 0
-                    ? static_cast<double>(stats.push_operations) /
-                          static_cast<double>(stats.shared_node_pops)
-                    : 0.0,
-                static_cast<unsigned long long>(stats.dense_lane_pushes),
-                100.0 * static_cast<double>(stats.dense_lane_pushes) /
-                    static_cast<double>(std::max<std::uint64_t>(
-                        1, stats.push_operations)),
-                static_cast<unsigned long long>(stats.edge_traversals));
-  };
-  const BatchQueryStats& bstats = batch.last_stats();
-  print_batch_stats("batch=16 stats", bstats);
-  std::printf("  [phases, last chunk vs serial total] hop %.3fs/%.3fs  "
-              "omfwd %.3fs/%.3fs  remedy %.3fs/%.3fs\n",
-              bstats.hop_seconds, serial_phases.hop, bstats.omfwd_seconds,
-              serial_phases.omfwd, bstats.remedy_seconds,
-              serial_phases.remedy);
-  std::printf("  default r_max_f=%g (ungated): serial %8.2f qps  "
-              "batch=16 %8.2f qps  (%.2fx)\n",
-              default_serial.effective_r_max_f(), default_serial_qps,
-              default_batch16_qps, default_batch16_qps / default_serial_qps);
-  print_batch_stats("default batch=16 stats", default_batch.last_stats());
-  std::printf("  bit_identical=%s  max_achieved_epsilon=%.6g (<= %.6g: %s)\n",
-              bit_identical ? "true" : "false", max_achieved_epsilon,
-              config.epsilon, epsilon_ok ? "ok" : "VIOLATED");
-
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"batched_vs_serial\",\n"
-                 "  \"graph\": {\"nodes\": %u, \"edges\": %llu,"
-                 " \"generator\": \"chung_lu_powerlaw_2.1\"},\n"
-                 "  \"config\": {\"alpha\": %g, \"epsilon\": %g,"
-                 " \"delta\": %g, \"p_f\": %g, \"num_hops\": %u,"
-                 " \"walk_scale\": %g, \"r_max_f\": %g},\n"
-                 "  \"sources\": %zu,\n"
-                 "  \"serial_qps\": %.4f,\n"
-                 "  \"batch4_qps\": %.4f,\n"
-                 "  \"batch16_qps\": %.4f,\n"
-                 "  \"speedup_batch4\": %.4f,\n"
-                 "  \"speedup_batch16\": %.4f,\n"
-                 "  \"default_r_max_f\": %g,\n"
-                 "  \"default_serial_qps\": %.4f,\n"
-                 "  \"default_batch16_qps\": %.4f,\n"
-                 "  \"bit_identical\": %s,\n"
-                 "  \"configured_epsilon\": %.6g,\n"
-                 "  \"max_achieved_epsilon\": %.6g\n"
-                 "}\n",
-                 graph.num_nodes(),
-                 static_cast<unsigned long long>(graph.num_edges()),
-                 config.alpha, config.epsilon, config.delta, config.p_f,
-                 options.num_hops, options.walk_scale, options.r_max_f,
-                 sources.size(), serial_qps, batch4_qps, batch16_qps,
-                 batch4_qps / serial_qps, batch16_qps / serial_qps,
-                 default_serial.effective_r_max_f(), default_serial_qps,
-                 default_batch16_qps, bit_identical ? "true" : "false",
-                 config.epsilon, max_achieved_epsilon);
-    std::fclose(f);
-    std::printf("  record written to %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "[bench_serve] cannot write %s\n",
-                 json_path.c_str());
-    return 2;
-  }
-  return (bit_identical && epsilon_ok && batch_wins) ? 0 : 1;
-}
-
-// Times one solver mode (thunk called once per source) over `reps`
-// repetitions, best-of (same rationale as BatchQps).
+// suppresses scheduler/VM interference, and every mode gets the same
+// treatment).
 template <typename PerSourceFn>
 double ModeQps(const std::vector<NodeId>& sources, int reps,
                PerSourceFn&& per_source) {
@@ -531,10 +293,6 @@ int RunTopKRecord(const std::string& json_path) {
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    constexpr const char kBatchFlag[] = "--batch_json=";
-    if (std::strncmp(argv[i], kBatchFlag, sizeof(kBatchFlag) - 1) == 0) {
-      return RunBatchRecord(argv[i] + sizeof(kBatchFlag) - 1);
-    }
     constexpr const char kTopKFlag[] = "--topk_json=";
     if (std::strncmp(argv[i], kTopKFlag, sizeof(kTopKFlag) - 1) == 0) {
       return RunTopKRecord(argv[i] + sizeof(kTopKFlag) - 1);

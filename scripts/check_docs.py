@@ -73,7 +73,7 @@ REQUIRED_SECTIONS = {
     "DESIGN.md": [
         "storage-ownership-borrowed-spans",
         "dynamic-graphs-delta-overlay-epochs-compaction",
-        "batched-solving-shared-frontier-simd-lanes",
+        "gathered-jobs",
         "top-k-bound-based-early-termination",
         "hybrid-localdense-solving",
     ],

@@ -51,7 +51,7 @@ constexpr std::uint64_t kCancelPollInterval = 512;
 // seeds form round 0 in caller order, everything after runs in canonical
 // ascending-id rounds — the wavefront behaviour of the classic FIFO with a
 // processing order that is a pure function of the scheduled (node, round)
-// pairs, which is what lets the batched solver replay it per lane.
+// pairs.
 void ForwardSearchLevelSync(const Graph& graph, const RwrConfig& config,
                             NodeId source, Score r_max,
                             std::span<const NodeId> seeds,

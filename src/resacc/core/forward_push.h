@@ -49,9 +49,8 @@ enum class PushOrder {
   // each round, and the default everywhere. Wavefronts maximize residue
   // accumulation (a node collects from its whole in-frontier before it is
   // popped), and the canonical in-round order makes the processing
-  // sequence deterministic in the scheduled (node, round) pairs alone —
-  // the property the batched multi-source solver builds on. The enum name
-  // is kept for the queue family it belongs to.
+  // sequence deterministic in the scheduled (node, round) pairs alone.
+  // The enum name is kept for the queue family it belongs to.
   kFifo,
   // Largest residue first (lazy max-heap). Measured *worse* than kFifo on
   // power-law graphs (5-7x more pushes: the greedy pop re-processes hub
@@ -66,8 +65,7 @@ enum class PushOrder {
 // with cancellation. The top-k solver hangs its separation and price
 // checks here — round boundaries are the only points whose position in
 // the processing sequence is a pure function of the scheduled (node,
-// round) pairs, which is what keeps batched-lane replays bit-identical to
-// serial. A hook that needs the work done so far reads it from the
+// round) pairs, so a hook's decisions are deterministic. A hook that needs the work done so far reads it from the
 // search's `progress` counters (RunForwardSearch).
 // Ignored by kMaxResidueFirst (no round structure).
 using PushRoundHook = std::function<bool(std::size_t round)>;

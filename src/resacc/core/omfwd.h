@@ -20,8 +20,8 @@ namespace resacc {
 // RunForwardSearch for the partial-state contract). A non-null
 // `round_hook` fires at each wavefront-round promotion (see PushRoundHook);
 // the hybrid selector hangs its residue-mass check there — round
-// boundaries are the points where serial and batched replays see
-// bit-identical residues.
+// boundaries are the points whose residues are a pure function of the
+// scheduled (node, round) pairs.
 PushStats RunOmfwd(const Graph& graph, const RwrConfig& config, NodeId source,
                    Score r_max_f, std::vector<NodeId> frontier,
                    PushState& state,

@@ -9,8 +9,7 @@
 namespace resacc {
 namespace {
 
-// Hybrid selection counters, shared by the serial and batch solvers so
-// both feed the same series (function-local statics, same pattern as
+// Hybrid selection counters (function-local statics, same pattern as
 // SolverMetrics in resacc_solver.cc).
 struct HybridMetrics {
   Counter& local;
@@ -161,11 +160,9 @@ PowerIterStats RunDensePowerIter(const Graph& graph, const RwrConfig& config,
 
   std::vector<Score> alive(n, 0.0);
   std::vector<Score> next(n, 0.0);
-  // Seed from the local state's residues. Summing in touched order keeps
-  // the starting alive_sum bit-identical between a serial PushState and a
-  // batch lane bridged back in the same (lane_touched) order; the sweeps
-  // below then run in fixed CSR order, independent of how the state was
-  // produced.
+  // Seed from the local state's residues, summed in touched order; the
+  // sweeps below then run in fixed CSR order, independent of how the
+  // state was produced.
   Score alive_sum = 0.0;
   for (NodeId v : state.touched()) {
     alive[v] = state.residue(v);

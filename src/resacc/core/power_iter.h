@@ -16,9 +16,8 @@ namespace resacc {
 // spans a large fraction of the graph makes the paper's local pipeline
 // (h-HopFWD at r_max_hop = 1e-14, then remedy walks over the leftover
 // mass) cost more than simply power-iterating the whole CSR. The solvers
-// estimate both costs and hand such queries — or single lanes of a batch,
-// with their drained residue vector as the starting state — to
-// RunDensePowerIter below. See DESIGN.md "Hybrid local/dense solving".
+// estimate both costs and hand such queries, with their drained residue
+// vector as the starting state, to RunDensePowerIter below. See DESIGN.md "Hybrid local/dense solving".
 
 // Which backend produced a query's scores under the hybrid selector, and
 // (for the dense paths) why the selector switched.
@@ -83,11 +82,9 @@ double RemedyCost(const RwrConfig& config, Score residue_sum,
 // Selection point 1 (after the hop-layer BFS, before any push): choose the
 // dense path when the adaptive cap bottomed out at its 1-hop floor with
 // the hop set still over the cap, or when the hop set's edge count makes
-// the accumulating phase alone beat cost_ratio x the dense bound. Serial
-// queries and batched lanes call this from the one dense_probe
-// ResAccPipeline::HopOptions builds, with identical inputs, so a batched
-// lane selects exactly like its serial replay. Returns kLocal to continue
-// locally.
+// the accumulating phase alone beat cost_ratio x the dense bound.
+// ResAccSolver calls this from the dense_probe its HopOptions builds.
+// Returns kLocal to continue locally.
 SolverPath ChooseFromHopStats(const Graph& graph, const RwrConfig& config,
                               const HybridOptions& options, Score r_max_hop,
                               bool shrink_floored, double hop_set_edges);
@@ -96,7 +93,7 @@ SolverPath ChooseFromHopStats(const Graph& graph, const RwrConfig& config,
 // remedy walks the current residue mass implies cost more than
 // cost_ratio x the dense bound. Round boundaries are the only points
 // whose position is a pure function of the scheduled (node, round) pairs,
-// so serial and batched lanes evaluate this on bit-identical residue sums.
+// so the decision is deterministic per source.
 bool DenseBeatsRemedy(const Graph& graph, const RwrConfig& config,
                       const HybridOptions& options, Score residue_sum,
                       double walk_scale);
@@ -113,15 +110,15 @@ bool DenseBeatsRemedy(const Graph& graph, const RwrConfig& config,
 // (reported via leftover_mass so the caller can account it as
 // uncorrected). Fully deterministic: no RNG, and the sweep order is the
 // fixed CSR order regardless of how `state` was produced — the basis of
-// the dense path's bit-identity across walk_threads and batch lane counts.
+// the dense path's bit-identity across walk_threads.
 PowerIterStats RunDensePowerIter(const Graph& graph, const RwrConfig& config,
                                  NodeId source, const PushState& state,
                                  std::vector<Score>& scores,
                                  const HybridOptions& options,
                                  const CancellationToken* cancel = nullptr);
 
-// The dense branch of the ResAcc finish (ResAccPipeline::Finish, which
-// serial queries and batched lanes share): seeds scores from the reserves
+// The dense branch of the ResAcc finish (ResAccSolver's full and top-k
+// queries alike): seeds scores from the reserves
 // of `state`, runs RunDensePowerIter from its residues, and fills the
 // Definition-1 accounting tags.
 struct DenseFinish {
@@ -136,8 +133,7 @@ DenseFinish RunDenseFinish(const Graph& graph, const RwrConfig& config,
                            const HybridOptions& options,
                            const CancellationToken* cancel);
 
-// Process-wide hybrid observability (obs/metrics_registry.h), shared by
-// the serial and batch solvers so both feed the same series:
+// Process-wide hybrid observability (obs/metrics_registry.h):
 // resacc_hybrid_local_total, resacc_hybrid_dense_total{reason=...} and
 // resacc_hub_shrink_total.
 void RecordHybridSelection(SolverPath path);

@@ -74,20 +74,24 @@ Score DefaultRMaxF(const Graph& graph, const RwrConfig& config,
 
 }  // namespace
 
-ResAccPipeline::ResAccPipeline(const Graph& graph, const RwrConfig& config,
-                               const ResAccOptions& options)
+ResAccSolver::ResAccSolver(const Graph& graph, const RwrConfig& config,
+                           const ResAccOptions& options)
     : graph_(graph),
       config_(config),
       options_(options),
       r_max_f_(options.r_max_f > 0.0 ? options.r_max_f
                                      : DefaultRMaxF(graph, config, options)),
-      walk_engine_(options.walk_threads) {
+      name_("ResAcc"),
+      walk_engine_(options.walk_threads),
+      state_(graph.num_nodes()) {
   RESACC_CHECK(config_.Validate().ok());
   RESACC_CHECK(options_.r_max_hop > 0.0);
+  if (!options.use_loop_accumulation) name_ = "No-Loop-ResAcc";
+  if (!options.use_hop_subgraph) name_ = "No-SG-ResAcc";
+  if (!options.use_omfwd) name_ = "No-OFD-ResAcc";
 }
 
-HHopFwdOptions ResAccPipeline::HopOptions(const CancellationToken* cancel,
-                                          SolverPath* path) const {
+HHopFwdOptions ResAccSolver::HopOptions(const CancellationToken* cancel) {
   // The No-SG ablation accumulates over the whole graph; there the practical
   // threshold is r_max^f (with r_max^hop the whole-graph search would push
   // for days — the subgraph restriction is exactly what makes the tiny
@@ -101,40 +105,35 @@ HHopFwdOptions ResAccPipeline::HopOptions(const CancellationToken* cancel,
   hop.cancel = cancel;
   // Hybrid selection point 1: with the hop-layer BFS done and nothing
   // pushed yet, hand hub sources to the dense path (core/power_iter.h).
-  // The decision is a pure function of the BFS-derived stats, so a batched
-  // lane running the same RunHHopFwd selects identically.
   if (options_.hybrid.enable && options_.use_hop_subgraph) {
-    hop.dense_probe = [this, r_max_hop = hop.r_max_hop,
-                       path](const HHopFwdStats& hop_stats) {
+    hop.dense_probe = [this, r_max_hop = hop.r_max_hop](
+                          const HHopFwdStats& hop_stats) {
       const SolverPath choice = ChooseFromHopStats(
           graph_, config_, options_.hybrid, r_max_hop,
           hop_stats.shrink_floored,
           static_cast<double>(hop_stats.hop_set_edges));
       if (choice == SolverPath::kLocal) return false;
-      *path = choice;
+      last_stats_.path = choice;
       return true;
     };
   }
   return hop;
 }
 
-ControlledQueryResult ResAccPipeline::Finish(
-    NodeId source, std::size_t k, const Status& push_status, SolverPath path,
-    const CancellationToken* cancel, PushState& state, TopKResult* topk,
-    ResAccQueryStats* stats) {
-  if (options_.hybrid.enable) RecordHybridSelection(path);
-  // Batched lanes (null stats) neither call the hook nor keep diagnostics.
-  ResAccQueryStats lane_stats;
-  ResAccQueryStats& phase_stats = stats != nullptr ? *stats : lane_stats;
+ControlledQueryResult ResAccSolver::Finish(NodeId source, std::size_t k,
+                                           const Status& push_status,
+                                           const CancellationToken* cancel,
+                                           TopKResult* topk) {
+  if (options_.hybrid.enable) RecordHybridSelection(last_stats_.path);
   const auto start_phase = [&](const char* phase) {
-    if (stats != nullptr && options_.phase_hook) options_.phase_hook(phase);
+    if (options_.phase_hook) options_.phase_hook(phase);
   };
   Rng query_rng = Rng(config_.seed).Fork(source);
   ControlledQueryResult result;
   result.status = push_status;
   Score uncorrected = 0.0;
 
-  if (push_status.ok() && path != SolverPath::kLocal) {
+  if (push_status.ok() && last_stats_.path != SolverPath::kLocal) {
     // Dense: whole-graph power iteration (core/power_iter.h) takes the
     // drained residues as its starting alive mass; no remedy walks.
     start_phase("dense");
@@ -142,11 +141,11 @@ ControlledQueryResult ResAccPipeline::Finish(
     DenseFinish dense;
     {
       RESACC_SPAN("dense_power_iter");
-      dense = RunDenseFinish(graph_, config_, source, state, options_.hybrid,
+      dense = RunDenseFinish(graph_, config_, source, state_, options_.hybrid,
                              cancel);
     }
-    phase_stats.dense = dense.stats;
-    phase_stats.dense_seconds = phase.ElapsedSeconds();
+    last_stats_.dense = dense.stats;
+    last_stats_.dense_seconds = phase.ElapsedSeconds();
     if (dense.stats.cancelled) result.status = cancel->StopStatus();
     uncorrected = dense.uncorrected_mass;
     if (topk != nullptr) {
@@ -163,45 +162,35 @@ ControlledQueryResult ResAccPipeline::Finish(
     start_phase("topk");
     Timer phase;
     *topk = SolveTopKFromState(graph_, config_, source, k, r_max_f_,
-                               options_.walk_scale, options_.topk, state,
+                               options_.walk_scale, options_.topk, state_,
                                query_rng, &walk_engine_, cancel, push_status);
-    phase_stats.remedy_seconds = phase.ElapsedSeconds();
+    last_stats_.remedy_seconds = phase.ElapsedSeconds();
     result.status = topk->status;
     uncorrected = topk->uncorrected_mass;
   } else if (!push_status.ok()) {
     // Stopped early: the reserves so far are the answer. pi(v) = reserve(v)
     // + sum_u r(u) pi_u(v) holds after every push, so the estimate
     // undershoots by at most the remaining residue mass.
-    result.scores = state.reserves();
-    uncorrected = state.ResidueSum();
+    result.scores = state_.reserves();
+    uncorrected = state_.ResidueSum();
   } else {
     // Remedy (Algorithm 2 lines 5-17).
     start_phase("remedy");
     Timer phase;
-    result.scores = state.reserves();
+    result.scores = state_.reserves();
     {
       RESACC_SPAN("remedy");
-      phase_stats.remedy = RunRemedy(
-          graph_, config_, source, state, query_rng, result.scores,
+      last_stats_.remedy = RunRemedy(
+          graph_, config_, source, state_, query_rng, result.scores,
           options_.walk_scale, /*time_budget_seconds=*/0.0, &walk_engine_,
           cancel);
     }
-    phase_stats.remedy_seconds = phase.ElapsedSeconds();
-    if (phase_stats.remedy.cancelled) result.status = cancel->StopStatus();
-    uncorrected = phase_stats.remedy.uncorrected_mass;
+    last_stats_.remedy_seconds = phase.ElapsedSeconds();
+    if (last_stats_.remedy.cancelled) result.status = cancel->StopStatus();
+    uncorrected = last_stats_.remedy.uncorrected_mass;
   }
   AccuracyFor(config_, uncorrected).ApplyTo(result);
   return result;
-}
-
-ResAccSolver::ResAccSolver(const Graph& graph, const RwrConfig& config,
-                           const ResAccOptions& options)
-    : pipeline_(graph, config, options),
-      name_("ResAcc"),
-      state_(graph.num_nodes()) {
-  if (!options.use_loop_accumulation) name_ = "No-Loop-ResAcc";
-  if (!options.use_hop_subgraph) name_ = "No-SG-ResAcc";
-  if (!options.use_omfwd) name_ = "No-OFD-ResAcc";
 }
 
 std::vector<Score> ResAccSolver::Query(NodeId source) {
@@ -212,14 +201,13 @@ std::vector<Score> ResAccSolver::Query(NodeId source) {
 
 ControlledQueryResult ResAccSolver::QueryControlled(
     NodeId source, const QueryControl& control) {
-  RESACC_CHECK(source < pipeline_.graph().num_nodes());
+  RESACC_CHECK(source < graph_.num_nodes());
   RESACC_SPAN("query");
   last_stats_ = ResAccQueryStats();
   Timer total;
   const Status push_status = RunPushPhases(source, control.cancel);
   ControlledQueryResult result =
-      pipeline_.Finish(source, /*k=*/0, push_status, last_stats_.path,
-                       control.cancel, state_, nullptr, &last_stats_);
+      Finish(source, /*k=*/0, push_status, control.cancel, nullptr);
 
   // Every return path — complete, degraded or cancelled — counts here, so
   // queries_total and the query histogram stay consistent with the
@@ -250,21 +238,17 @@ Status ResAccSolver::RunPushPhases(NodeId source,
     state_.SetResidue(source, 1.0);
     return cancel->StopStatus();
   }
-  const Graph& graph = pipeline_.graph();
-  const RwrConfig& config = pipeline_.config();
-  const ResAccOptions& options = pipeline_.options();
   SolverMetrics& metrics = SolverMetrics::Get();
 
   // Phase 1: h-HopFWD.
-  if (options.phase_hook) options.phase_hook("hhop");
+  if (options_.phase_hook) options_.phase_hook("hhop");
   Timer phase;
-  const HHopFwdOptions hhop_options =
-      pipeline_.HopOptions(cancel, &last_stats_.path);
+  const HHopFwdOptions hhop_options = HopOptions(cancel);
   HopLayers layers;
   {
     RESACC_SPAN("hhop_fwd");
     last_stats_.hhop =
-        RunHHopFwd(graph, config, source, hhop_options, state_, &layers);
+        RunHHopFwd(graph_, config_, source, hhop_options, state_, &layers);
   }
   last_stats_.hhop_seconds = phase.ElapsedSeconds();
   metrics.hhop.Record(last_stats_.hhop_seconds);
@@ -280,14 +264,14 @@ Status ResAccSolver::RunPushPhases(NodeId source,
   // boundary (selection point 2) the remedy cost of the residues still
   // outstanding is compared against the dense bound; when remedy loses,
   // the search stops and the drained state goes dense instead.
-  if (options.phase_hook) options.phase_hook("omfwd");
+  if (options_.phase_hook) options_.phase_hook("omfwd");
   phase.Restart();
   PushRoundHook round_hook;
   const PushRoundHook* round_hook_ptr = nullptr;
-  if (options.hybrid.enable && options.use_hop_subgraph) {
+  if (options_.hybrid.enable && options_.use_hop_subgraph) {
     round_hook = [&](std::size_t) {
-      if (!DenseBeatsRemedy(graph, config, options.hybrid,
-                            state_.ResidueSum(), options.walk_scale)) {
+      if (!DenseBeatsRemedy(graph_, config_, options_.hybrid,
+                            state_.ResidueSum(), options_.walk_scale)) {
         return false;
       }
       last_stats_.path = SolverPath::kDenseResidueMass;
@@ -297,10 +281,10 @@ Status ResAccSolver::RunPushPhases(NodeId source,
   }
   {
     RESACC_SPAN("omfwd");
-    if (options.use_omfwd && !layers.layers.empty()) {
+    if (options_.use_omfwd && !layers.layers.empty()) {
       last_stats_.omfwd_push =
-          RunOmfwd(graph, config, source, pipeline_.r_max_f(),
-                   layers.layers.back(), state_, cancel, round_hook_ptr);
+          RunOmfwd(graph_, config_, source, r_max_f_, layers.layers.back(),
+                   state_, cancel, round_hook_ptr);
     }
   }
   last_stats_.omfwd_seconds = phase.ElapsedSeconds();
@@ -312,14 +296,13 @@ Status ResAccSolver::RunPushPhases(NodeId source,
 
 TopKResult ResAccSolver::QueryTopK(NodeId source, std::size_t k,
                                    const QueryControl& control) {
-  RESACC_CHECK(source < pipeline_.graph().num_nodes());
+  RESACC_CHECK(source < graph_.num_nodes());
   RESACC_SPAN("query_topk");
   last_stats_ = ResAccQueryStats();
   Timer total;
   const Status push_status = RunPushPhases(source, control.cancel);
   TopKResult result;
-  pipeline_.Finish(source, k, push_status, last_stats_.path, control.cancel,
-                   state_, &result, &last_stats_);
+  Finish(source, k, push_status, control.cancel, &result);
   last_stats_.total_seconds = total.ElapsedSeconds();
   return result;
 }

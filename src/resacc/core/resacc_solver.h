@@ -94,58 +94,6 @@ struct ResAccQueryStats {
   PowerIterStats dense;
 };
 
-// The parts of Algorithm 2 that ResAccSolver and every BatchSolver lane
-// share, kept once so a batched lane runs exactly the serial code: the
-// hop-phase set-up and the finish from a drained push state. Bound to one
-// graph; owns the remedy phase's walk engine, so it is NOT thread-safe.
-class ResAccPipeline {
- public:
-  ResAccPipeline(const Graph& graph, const RwrConfig& config,
-                 const ResAccOptions& options);
-  ResAccPipeline(Graph&&, const RwrConfig&, const ResAccOptions&) = delete;
-
-  const Graph& graph() const { return graph_; }
-  const RwrConfig& config() const { return config_; }
-  const ResAccOptions& options() const { return options_; }
-  // Effective r_max^f: options().r_max_f when > 0, else the priced default
-  // (see ResAccOptions::r_max_f).
-  Score r_max_f() const { return r_max_f_; }
-
-  // h-HopFWD options of one query, polling `cancel`. With the hybrid
-  // selector on they carry selection point 1 (ChooseFromHopStats) as the
-  // dense_probe, which writes the chosen dense path to `*path`.
-  HHopFwdOptions HopOptions(const CancellationToken* cancel,
-                            SolverPath* path) const;
-
-  // Algorithm 2's finish, for serial queries and batched lanes alike.
-  // `state` holds the query's drained push phases and is consumed:
-  //  * `push_status` not OK — the push phases stopped early (a query dead
-  //    on arrival plants r(source) = 1 first). The reserves are the
-  //    answer and the residues its uncorrected mass.
-  //  * `path` not kLocal — the hybrid selector chose the dense sweep
-  //    (RunDenseFinish).
-  //  * otherwise remedy walks over the residues, or for a top-k answer
-  //    the certificate finish (SolveTopKFromState, which also brackets a
-  //    stopped top-k query).
-  // A non-null `topk` asks for a top-k answer: it receives the
-  // TopKResult, and the returned result carries only the status and
-  // accuracy tags. A non-null `stats` marks a serial query: the finish
-  // then calls the phase_hook ("dense", "remedy" or "topk") as its phase
-  // starts and records the phase's diagnostics and time there.
-  ControlledQueryResult Finish(NodeId source, std::size_t k,
-                               const Status& push_status, SolverPath path,
-                               const CancellationToken* cancel,
-                               PushState& state, TopKResult* topk,
-                               ResAccQueryStats* stats);
-
- private:
-  const Graph& graph_;
-  RwrConfig config_;
-  ResAccOptions options_;
-  Score r_max_f_;
-  WalkEngine walk_engine_;
-};
-
 // The paper's algorithm: h-HopFWD + OMFWD + remedy (Algorithm 2). One
 // instance per graph; Query is repeatable and reuses workspaces.
 class ResAccSolver : public SsrwrAlgorithm {
@@ -170,9 +118,7 @@ class ResAccSolver : public SsrwrAlgorithm {
   // Bound-driven top-k (see topk_solve.h): runs the two push phases
   // unchanged, then refines at shrinking thresholds until rank k
   // separates — a certified result skips the remedy walks entirely; an
-  // unseparated one falls back to remedy on the refined state. The shared
-  // finish (ResAccPipeline::Finish) makes BatchSolver's top-k lanes
-  // bit-identical to this.
+  // unseparated one falls back to remedy on the refined state.
   TopKResult QueryTopK(NodeId source, std::size_t k,
                        const QueryControl& control = QueryControl{}) override;
 
@@ -181,10 +127,10 @@ class ResAccSolver : public SsrwrAlgorithm {
 
   // Effective r_max^f: options().r_max_f when > 0, else the priced default
   // (see ResAccOptions::r_max_f).
-  Score effective_r_max_f() const { return pipeline_.r_max_f(); }
+  Score effective_r_max_f() const { return r_max_f_; }
 
-  const RwrConfig& config() const { return pipeline_.config(); }
-  const ResAccOptions& options() const { return pipeline_.options(); }
+  const RwrConfig& config() const { return config_; }
+  const ResAccOptions& options() const { return options_; }
 
  private:
   // Phases 1-2 of Algorithm 2 (h-HopFWD + OMFWD) on a reset state_, with
@@ -194,8 +140,35 @@ class ResAccSolver : public SsrwrAlgorithm {
   // reserves/residues, or just r(source) = 1).
   Status RunPushPhases(NodeId source, const CancellationToken* cancel);
 
-  ResAccPipeline pipeline_;
+  // h-HopFWD options of one query, polling `cancel`. With the hybrid
+  // selector on they carry selection point 1 (ChooseFromHopStats) as the
+  // dense_probe, which writes the chosen dense path to last_stats_.path.
+  HHopFwdOptions HopOptions(const CancellationToken* cancel);
+
+  // Algorithm 2's finish from the drained push phases in state_:
+  //  * `push_status` not OK — the push phases stopped early (a query dead
+  //    on arrival plants r(source) = 1 first). The reserves are the
+  //    answer and the residues its uncorrected mass.
+  //  * last_stats_.path not kLocal — the hybrid selector chose the dense
+  //    sweep (RunDenseFinish).
+  //  * otherwise remedy walks over the residues, or for a top-k answer
+  //    the certificate finish (SolveTopKFromState, which also brackets a
+  //    stopped top-k query).
+  // A non-null `topk` asks for a top-k answer: it receives the
+  // TopKResult, and the returned result carries only the status and
+  // accuracy tags. Calls the phase_hook ("dense", "remedy" or "topk") as
+  // its phase starts and records the phase's diagnostics in last_stats_.
+  ControlledQueryResult Finish(NodeId source, std::size_t k,
+                               const Status& push_status,
+                               const CancellationToken* cancel,
+                               TopKResult* topk);
+
+  const Graph& graph_;
+  RwrConfig config_;
+  ResAccOptions options_;
+  Score r_max_f_;
   std::string name_;
+  WalkEngine walk_engine_;
   PushState state_;
   ResAccQueryStats last_stats_;
 };

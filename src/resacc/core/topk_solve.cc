@@ -203,7 +203,7 @@ TopKResult SolveTopKFromState(const Graph& graph, const RwrConfig& config,
     // Stage seeds: every node meeting the push condition at the tightened
     // threshold, in canonical ascending-id order (round-0 seeds run in
     // caller order — sorting keeps the whole stage a pure function of the
-    // state, the property batched replay relies on).
+    // state).
     seeds.clear();
     for (NodeId v : state.touched()) {
       if (state.residue(v) > 0.0 &&

@@ -43,10 +43,8 @@ namespace resacc {
 // (a certified result draws no randomness — Rng::Fork is const, so
 // skipping remedy does not perturb later queries).
 //
-// Deterministic in (state, k, options) alone: the batched solver bridges
-// each lane's bit-identical post-OMFWD state into a scratch PushState and
-// calls this same function, so batched top-k is bit-identical to serial
-// by construction. `state` is consumed (refined in place).
+// Deterministic in (state, k, options) alone. `state` is consumed
+// (refined in place).
 TopKResult SolveTopKFromState(const Graph& graph, const RwrConfig& config,
                               NodeId source, std::size_t k, Score r_max_start,
                               double walk_scale, const TopKOptions& options,

@@ -72,9 +72,9 @@ class BoundedQueue {
   }
 
   // Blocks up to `timeout` for an item: false on timeout or when the
-  // queue is closed and drained. The serving layer's batch formation
-  // lingers on this — a worker holding a partial batch waits out its
-  // linger budget here instead of spinning on TryPop.
+  // queue is closed and drained. The serving layer's gathering lingers
+  // on this — a worker holding a partial gather waits out its linger
+  // budget here instead of spinning on TryPop.
   template <typename Rep, typename Period>
   bool PopFor(T& out, const std::chrono::duration<Rep, Period>& timeout) {
     std::unique_lock<std::mutex> lock(mutex_);

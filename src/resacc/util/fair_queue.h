@@ -107,7 +107,7 @@ class WeightedFairQueue {
   }
 
   // Blocks up to `timeout` for an item: false on timeout or when the queue
-  // is closed and drained. Batch formation lingers on this.
+  // is closed and drained. Gathering lingers on this.
   template <typename Rep, typename Period>
   bool PopFor(T& out, const std::chrono::duration<Rep, Period>& timeout) {
     std::unique_lock<std::mutex> lock(mutex_);

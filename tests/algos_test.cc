@@ -319,9 +319,8 @@ TEST(SolverLifetimeTest, TemporaryGraphsAreRejected) {
   EXPECT_TRUE((BindsLvalueGraphsOnly<TopPpr, Config>()));
   EXPECT_TRUE((BindsLvalueGraphsOnly<Tpa, Config>()));
   EXPECT_TRUE((BindsLvalueGraphsOnly<Nise, const NiseOptions&>()));
-  EXPECT_TRUE((BindsLvalueGraphsOnly<BatchSolver, Config>()));
-  EXPECT_TRUE((BindsLvalueGraphsOnly<ResAccPipeline, Config,
-                                     const ResAccOptions&>()));
+  EXPECT_TRUE(
+      (BindsLvalueGraphsOnly<BatchSolver, Config, const ResAccOptions&>()));
   EXPECT_TRUE(
       (BindsLvalueGraphsOnly<ResAccSolver, Config, const ResAccOptions&>()));
 }

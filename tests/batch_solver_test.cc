@@ -1,6 +1,6 @@
-// Tests of the batched multi-source solver: per-lane bit-identity against
-// the serial solver across batch sizes, epsilon accounting per lane, lane
-// detach on cancellation, and the serve-layer batch formation path.
+// Tests of the benchmark-only BatchSolver adapter (batch_solver.h), which
+// perfbench's traced batch replay drives: every lane answers exactly as
+// ResAccSolver does, and a lane whose token fires stops alone.
 
 #include "resacc/core/batch_solver.h"
 
@@ -20,9 +20,8 @@
 namespace resacc {
 namespace {
 
-// Exact (bitwise) equality, element by element: the batch solver's
-// contract is that completed lanes replay the serial solver's FP operation
-// sequence, so no tolerance is allowed.
+// Exact (bitwise) equality, element by element: each lane is a serial
+// solve, so no tolerance is allowed.
 void ExpectBitIdentical(const std::vector<Score>& serial,
                         const std::vector<Score>& batched,
                         const char* label) {
@@ -55,47 +54,9 @@ RwrConfig TestConfig(NodeId num_nodes, DanglingPolicy dangling) {
   return config;
 }
 
-class BatchBitIdentityTest
-    : public ::testing::TestWithParam<DanglingPolicy> {};
-
-INSTANTIATE_TEST_SUITE_P(Dangling, BatchBitIdentityTest,
-                         ::testing::Values(DanglingPolicy::kAbsorb,
-                                           DanglingPolicy::kBackToSource));
-
-TEST_P(BatchBitIdentityTest, ResAccMatchesSerialAcrossBatchSizes) {
-  const Graph graph = ChungLuPowerLaw(2000, 12000, 2.5, /*seed=*/42);
-  const RwrConfig config = TestConfig(graph.num_nodes(), GetParam());
-  ResAccOptions options;
-  options.walk_scale = 0.2;
-
-  ResAccSolver serial(graph, config, options);
-  BatchSolver batch(graph, config, options);
-  const std::vector<NodeId> sources = PickSources(graph, 16);
-
-  std::vector<ControlledQueryResult> expected;
-  for (NodeId s : sources) {
-    expected.push_back(serial.QueryControlled(s, QueryControl{}));
-  }
-  for (std::size_t batch_size : {std::size_t{1}, std::size_t{4},
-                                 std::size_t{16}}) {
-    const auto got = batch.QueryAllChunked(sources, batch_size);
-    ASSERT_EQ(got.size(), sources.size());
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      SCOPED_TRACE(::testing::Message()
-                   << "batch_size=" << batch_size << " source="
-                   << sources[i]);
-      EXPECT_TRUE(got[i].status.ok());
-      EXPECT_FALSE(got[i].degraded);
-      EXPECT_DOUBLE_EQ(got[i].achieved_epsilon, config.epsilon);
-      ExpectBitIdentical(expected[i].scores, got[i].scores, "resacc");
-    }
-  }
-}
-
 TEST(BatchSolverTest, AblationsMatchSerial) {
   // The ablation pipelines exercise the No-SG whole-graph accumulating
-  // phase and the no-loop seed path — both have their own seed/round
-  // structure in the batch solver.
+  // phase and the no-loop seed path.
   const Graph graph = ChungLuPowerLaw(1000, 5000, 2.5, /*seed=*/5);
   const RwrConfig config =
       TestConfig(graph.num_nodes(), DanglingPolicy::kBackToSource);
@@ -124,8 +85,8 @@ TEST(BatchSolverTest, AblationsMatchSerial) {
 
 TEST(BatchSolverTest, HubSourcesTakeAdaptiveHopPath) {
   // A star hub's 1-hop set is the whole graph, so the adaptive cap kicks
-  // in (effective_hops shrinks) — the batch must replicate the per-lane
-  // shrink decision.
+  // in (effective_hops shrinks) — each lane must make the serial shrink
+  // decision.
   const Graph graph = testing::StarGraph(600);
   const RwrConfig config =
       TestConfig(graph.num_nodes(), DanglingPolicy::kAbsorb);
@@ -170,7 +131,7 @@ TEST(BatchSolverTest, RepeatedBatchesAreReproducible) {
   const std::vector<BatchLane> lanes = {
       {1, nullptr}, {50, nullptr}, {200, nullptr}};
   const auto first = batch.QueryBatch(lanes);
-  // A different-size batch in between reshapes the lane arrays.
+  // A different-size batch in between must not disturb the repeat.
   const std::vector<BatchLane> other = {{3, nullptr}};
   (void)batch.QueryBatch(other);
   const auto second = batch.QueryBatch(lanes);
@@ -203,8 +164,7 @@ TEST(BatchSolverTest, PreCancelledLaneDetachesWithoutPerturbingOthers) {
                    config.epsilon + 1.0 / config.delta);
   for (Score s : got[1].scores) EXPECT_EQ(s, 0.0);
 
-  // Survivors are bit-identical to serial — the detach must not perturb
-  // their operation sequences.
+  // Survivors are bit-identical to serial.
   for (std::size_t i : {std::size_t{0}, std::size_t{2}, std::size_t{3}}) {
     const auto expected =
         serial.QueryControlled(lanes[i].source, QueryControl{});
@@ -299,26 +259,6 @@ TEST(BatchSolverTest, SmallFixtureGraphsCoverDanglingAndLoops) {
       }
     }
   }
-}
-
-TEST(BatchSolverTest, StatsReportAmortization) {
-  const Graph graph = ChungLuPowerLaw(2000, 12000, 2.5, /*seed=*/42);
-  const RwrConfig config =
-      TestConfig(graph.num_nodes(), DanglingPolicy::kAbsorb);
-  ResAccOptions options;
-  options.walk_scale = 0.2;
-  BatchSolver batch(graph, config, options);
-  const std::vector<NodeId> sources = PickSources(graph, 16);
-  std::vector<BatchLane> lanes;
-  for (NodeId s : sources) lanes.push_back(BatchLane{s, nullptr});
-  (void)batch.QueryBatch(lanes);
-  const BatchQueryStats& stats = batch.last_stats();
-  EXPECT_GT(stats.push_operations, 0u);
-  EXPECT_GT(stats.shared_node_pops, 0u);
-  // The shared sweep must serve more than one lane push per node pop on
-  // average — otherwise batching amortizes nothing.
-  EXPECT_GT(static_cast<double>(stats.push_operations),
-            static_cast<double>(stats.shared_node_pops));
 }
 
 }  // namespace

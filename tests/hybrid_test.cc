@@ -3,9 +3,9 @@
 // Definition 1 — deterministically, since the dense sweep's tolerance
 // eps * delta leaves no failure probability — while tail sources stay on
 // the paper's local pipeline. Also pins the dense path's bit-identity
-// across walk_threads and batch lane counts, the residue-mass trigger,
-// the shrink-floor regression, the No-SG stats convention, the serve
-// config-hash coverage of the hybrid knobs, and the dense top-k prefix.
+// across walk_threads, the residue-mass trigger, the shrink-floor
+// regression, the No-SG stats convention, the serve config-hash coverage
+// of the hybrid knobs, and the dense top-k prefix.
 
 #include "resacc/core/power_iter.h"
 
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "resacc/algo/fora.h"
-#include "resacc/core/batch_solver.h"
 #include "resacc/core/h_hop_fwd.h"
 #include "resacc/core/resacc_solver.h"
 #include "resacc/eval/ground_truth.h"
@@ -233,8 +232,7 @@ TEST(HybridSelectionTest, ForaKeepsGuaranteeOnHubGraphs) {
 
 // ---------------------------------------------------------------------------
 // Bit-identity: the dense sweep has no RNG and a fixed CSR order, so the
-// result must be bitwise invariant across walk_threads and lane counts,
-// and a batched dense lane must replay the serial dense solve exactly.
+// result must be bitwise invariant across walk_threads.
 
 TEST(HybridBitIdentityTest, DensePathInvariantAcrossWalkThreads) {
   const Graph g = testing::StarGraph(199);
@@ -253,79 +251,9 @@ TEST(HybridBitIdentityTest, DensePathInvariantAcrossWalkThreads) {
   ExpectBitIdentical(a, b, "walk_threads 1 vs 4");
 }
 
-TEST(HybridBitIdentityTest, BatchDenseLanesMatchSerialAcrossLaneCounts) {
-  // Mixed batch on a hub-heavy graph: the head lanes go dense, the tail
-  // lanes stay local, and every completed lane must be bit-identical to
-  // the serial hybrid solver — at every batch size.
-  const Graph g = ChungLuPowerLaw(1000, 12000, 2.0, /*seed=*/3);
-  const RwrConfig config = HybridConfig();
-  ResAccOptions options = HybridOn();
-  options.max_hop_set_fraction = 0.02;
-
-  const std::vector<NodeId> by_degree = g.NodesByOutDegreeDesc();
-  std::vector<NodeId> sources;
-  for (std::size_t i = 0; i < 4; ++i) sources.push_back(by_degree[i]);
-  for (std::size_t i = 0; i < 12; ++i) {
-    sources.push_back(by_degree[by_degree.size() / 2 + i * 7]);
-  }
-
-  ResAccSolver serial(g, config, options);
-  std::vector<ControlledQueryResult> expected;
-  std::vector<SolverPath> expected_paths;
-  bool saw_dense = false;
-  bool saw_local = false;
-  for (NodeId s : sources) {
-    expected.push_back(serial.QueryControlled(s, QueryControl{}));
-    expected_paths.push_back(serial.last_stats().path);
-    (serial.last_stats().path == SolverPath::kLocal ? saw_local : saw_dense) =
-        true;
-  }
-  ASSERT_TRUE(saw_dense) << "no source selected the dense path";
-  ASSERT_TRUE(saw_local) << "no source stayed local";
-
-  BatchSolver batch(g, config, options);
-  for (const std::size_t batch_size : {1u, 4u, 16u}) {
-    const std::vector<ControlledQueryResult> got =
-        batch.QueryAllChunked(sources, batch_size);
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_TRUE(got[i].status.ok());
-      ExpectBitIdentical(expected[i].scores, got[i].scores, "batched lane");
-      EXPECT_EQ(got[i].achieved_epsilon, expected[i].achieved_epsilon);
-      EXPECT_EQ(got[i].degraded, expected[i].degraded);
-    }
-  }
-}
-
-TEST(HybridBitIdentityTest, BatchResidueMassTriggerMatchesSerial) {
-  // The round-boundary trigger must fire at the same round for a batched
-  // lane as for the serial solver — verified through bit-identity of the
-  // resulting dense payloads.
-  const Graph g = testing::CycleGraph(100);
-  RwrConfig config = HybridConfig();
-  config.delta = 1e-6;
-  ResAccOptions options = HybridOn();
-
-  ResAccSolver serial(g, config, options);
-  const std::vector<NodeId> sources = {0, 25, 50, 75};
-  std::vector<ControlledQueryResult> expected;
-  for (NodeId s : sources) {
-    expected.push_back(serial.QueryControlled(s, QueryControl{}));
-    ASSERT_EQ(serial.last_stats().path, SolverPath::kDenseResidueMass);
-  }
-
-  BatchSolver batch(g, config, options);
-  const std::vector<ControlledQueryResult> got =
-      batch.QueryAllChunked(sources, sources.size());
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ExpectBitIdentical(expected[i].scores, got[i].scores, "cycle lane");
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Top-k on the dense path: the prefix of the dense vector, same bounds as
-// MakeApproximateTopK, bit-identical between serial and batch.
+// MakeApproximateTopK.
 
 TEST(HybridTopKTest, DenseTopKIsPrefixOfDenseVector) {
   const Graph g = testing::StarGraph(199);
@@ -347,34 +275,6 @@ TEST(HybridTopKTest, DenseTopKIsPrefixOfDenseVector) {
     EXPECT_EQ(topk.entries[i].node, exact_order[i]) << "rank " << i;
     EXPECT_EQ(topk.entries[i].estimate, full[exact_order[i]]) << "rank " << i;
   }
-}
-
-TEST(HybridTopKTest, BatchDenseTopKMatchesSerial) {
-  const Graph g = testing::StarGraph(199);
-  const RwrConfig config = HybridConfig();
-  constexpr std::size_t kK = 10;
-  const ResAccOptions options = HybridOn();
-
-  ResAccSolver serial(g, config, options);
-  const TopKResult expected = serial.QueryTopK(/*source=*/0, kK);
-
-  BatchSolver batch(g, config, options);
-  std::vector<BatchLane> lanes(1);
-  lanes[0].source = 0;
-  lanes[0].top_k = kK;
-  std::vector<TopKResult> topk_results;
-  batch.QueryBatch(lanes, &topk_results);
-  ASSERT_EQ(topk_results.size(), 1u);
-  const TopKResult& got = topk_results[0];
-  ASSERT_EQ(got.entries.size(), expected.entries.size());
-  for (std::size_t i = 0; i < got.entries.size(); ++i) {
-    EXPECT_EQ(got.entries[i].node, expected.entries[i].node);
-    EXPECT_EQ(got.entries[i].estimate, expected.entries[i].estimate);
-    EXPECT_EQ(got.entries[i].lower, expected.entries[i].lower);
-    EXPECT_EQ(got.entries[i].upper, expected.entries[i].upper);
-  }
-  EXPECT_EQ(got.certified, expected.certified);
-  EXPECT_EQ(got.outsider_upper, expected.outsider_upper);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
 // Replay oracle of the ResAcc pipeline: chains the phase kernels directly
 // (RunHHopFwd -> RunOmfwd -> RunRemedy / SolveTopKFromState /
 // RunDenseFinish, in the order perfbench's kernel replay uses) and requires
-// ResAccSolver and 1-lane and 4-lane BatchSolver answers to be bit-identical
-// to the chain. The serial and batched solvers share one finish, so their
-// identity tests cannot see drift inside it; this chain can. It covers full
-// and top-k answers, local and dense (hybrid star hub) sources, and a lane
-// that is cancelled before it starts.
+// ResAccSolver's answers to be bit-identical to the chain, so a change to
+// the solver's phase order or finish shows here before it fails perfbench's
+// traced replay. It covers full and top-k answers, local and dense (hybrid
+// star hub) sources, and a query that is cancelled before it starts.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "resacc/core/batch_solver.h"
 #include "resacc/core/h_hop_fwd.h"
 #include "resacc/core/omfwd.h"
 #include "resacc/core/power_iter.h"
@@ -175,8 +173,8 @@ void ExpectSameTopK(const TopKResult& want, const TopKResult& got) {
   }
 }
 
-// A full-mode ControlledQueryResult, or a top-k lane's tag row plus its
-// TopKResult, against the chain's answer.
+// A full-mode ControlledQueryResult, or a top-k query's TopKResult,
+// against the chain's answer.
 void ExpectMatchesChain(const Answer& want, const OracleQuery& query,
                         const ControlledQueryResult& got,
                         const TopKResult* got_topk) {
@@ -196,8 +194,8 @@ void ExpectMatchesChain(const Answer& want, const OracleQuery& query,
   }
 }
 
-// Runs `queries` through the chain, the serial solver and BatchSolver in
-// 1-lane and 4-lane batches, and checks every answer against the chain.
+// Runs `queries` through the chain and ResAccSolver, and checks every answer
+// against the chain.
 void ExpectSolversMatchChain(const Graph& graph, const RwrConfig& config,
                              const ResAccOptions& options,
                              const std::vector<OracleQuery>& queries) {
@@ -211,7 +209,7 @@ void ExpectSolversMatchChain(const Graph& graph, const RwrConfig& config,
   ResAccSolver serial(graph, config, options);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const OracleQuery& q = queries[i];
-    SCOPED_TRACE(::testing::Message() << "serial source=" << q.source
+    SCOPED_TRACE(::testing::Message() << "source=" << q.source
                                       << " k=" << q.top_k);
     QueryControl control;
     control.cancel = q.cancelled ? &cancelled : nullptr;
@@ -221,38 +219,6 @@ void ExpectSolversMatchChain(const Graph& graph, const RwrConfig& config,
     } else {
       ExpectMatchesChain(chain[i], q, serial.QueryControlled(q.source, control),
                          nullptr);
-    }
-  }
-
-  BatchSolver batch(graph, config, options);
-  for (const std::size_t lanes_per_batch : {std::size_t{1}, std::size_t{4}}) {
-    for (std::size_t begin = 0; begin < queries.size();
-         begin += lanes_per_batch) {
-      const std::size_t end =
-          std::min(queries.size(), begin + lanes_per_batch);
-      std::vector<BatchLane> lanes;
-      for (std::size_t i = begin; i < end; ++i) {
-        lanes.push_back(BatchLane{queries[i].source,
-                                  queries[i].cancelled ? &cancelled : nullptr,
-                                  queries[i].top_k});
-      }
-      std::vector<TopKResult> topks;
-      const std::vector<ControlledQueryResult> got =
-          batch.QueryBatch(lanes, &topks);
-      ASSERT_EQ(got.size(), lanes.size());
-      for (std::size_t i = begin; i < end; ++i) {
-        SCOPED_TRACE(::testing::Message()
-                     << lanes_per_batch << "-lane batch source="
-                     << queries[i].source << " k=" << queries[i].top_k);
-        const ControlledQueryResult& row = got[i - begin];
-        if (queries[i].top_k > 0) {
-          EXPECT_TRUE(row.scores.empty());
-          // The lane's tag row mirrors its TopKResult.
-          EXPECT_EQ(row.status.code(), topks[i - begin].status.code());
-          EXPECT_EQ(row.achieved_epsilon, topks[i - begin].achieved_epsilon);
-        }
-        ExpectMatchesChain(chain[i], queries[i], row, &topks[i - begin]);
-      }
     }
   }
 }

@@ -2,9 +2,8 @@
 // against power-iteration ground truth, refinement held to the price of
 // the walks it replaces, parity between QueryTopK and the full-vector
 // solve for the bracket-only solvers, tie handling at rank k, degenerate
-// k, batched-lane bit-identity with the serial solver, the result cache's
-// k-superset reuse rules, and mixed-shape serving under concurrent
-// clients (the TSAN target for shape-aware coalescing).
+// k, the result cache's k-superset reuse rules, and mixed-shape serving
+// under concurrent clients (the TSAN target for shape-aware coalescing).
 
 #include <algorithm>
 #include <atomic>
@@ -19,7 +18,6 @@
 
 #include "resacc/algo/fora.h"
 #include "resacc/algo/monte_carlo.h"
-#include "resacc/core/batch_solver.h"
 #include "resacc/core/h_hop_fwd.h"
 #include "resacc/core/omfwd.h"
 #include "resacc/core/push_state.h"
@@ -47,8 +45,8 @@ RwrConfig TestConfig(const Graph& graph) {
   return config;
 }
 
-// Bitwise equality of two top-k results: the batched lanes' contract is a
-// replay of the serial solver's FP operation sequence, so no tolerance.
+// Bitwise equality of two top-k results: a repeated query replays the
+// same FP operation sequence, so no tolerance.
 void ExpectTopKBitIdentical(const TopKResult& serial, const TopKResult& batched,
                             const char* label) {
   EXPECT_EQ(serial.status.ok(), batched.status.ok()) << label;
@@ -298,72 +296,6 @@ TEST(TopKSolveTest, DegenerateKValues) {
   ASSERT_TRUE(none.status.ok());
   EXPECT_TRUE(none.certified);
   EXPECT_TRUE(none.entries.empty());
-}
-
-// --- Batched lanes ----------------------------------------------------------
-
-TEST(TopKBatchTest, MixedLanesBitIdenticalToSerialAcrossBatchSizes) {
-  const Graph graph = ChungLuPowerLaw(2000, 12000, 2.5, /*seed=*/42);
-  RwrConfig config;
-  config.delta = 1e-3;
-  config.p_f = 1e-3;
-  config.dangling = DanglingPolicy::kAbsorb;
-  config.seed = 0x7357;
-  ResAccOptions options;
-  options.walk_scale = 0.2;
-
-  ResAccSolver serial(graph, config, options);
-  BatchSolver batch(graph, config, options);
-
-  std::vector<NodeId> sources;
-  for (NodeId v = 1; sources.size() < 16; v += 117) {
-    sources.push_back(v % graph.num_nodes());
-  }
-
-  // Every odd lane asks for top-10, even lanes stay full-vector: the mix
-  // is the shape the serve layer produces, and the full lanes pin down
-  // that top-k lanes do not perturb their neighbours.
-  std::vector<TopKResult> expected_topk(sources.size());
-  std::vector<ControlledQueryResult> expected_full(sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    if (i % 2 == 1) {
-      expected_topk[i] = serial.QueryTopK(sources[i], 10);
-    } else {
-      expected_full[i] = serial.QueryControlled(sources[i], QueryControl{});
-    }
-  }
-
-  for (const std::size_t batch_size : {std::size_t{1}, std::size_t{4},
-                                       std::size_t{16}}) {
-    for (std::size_t begin = 0; begin < sources.size(); begin += batch_size) {
-      const std::size_t end = std::min(begin + batch_size, sources.size());
-      std::vector<BatchLane> lanes;
-      for (std::size_t i = begin; i < end; ++i) {
-        BatchLane lane;
-        lane.source = sources[i];
-        lane.top_k = (i % 2 == 1) ? 10 : 0;
-        lanes.push_back(lane);
-      }
-      std::vector<TopKResult> topks;
-      const auto got = batch.QueryBatch(lanes, &topks);
-      ASSERT_EQ(got.size(), lanes.size());
-      ASSERT_EQ(topks.size(), lanes.size());
-      for (std::size_t i = begin; i < end; ++i) {
-        SCOPED_TRACE(::testing::Message()
-                     << "batch_size=" << batch_size << " source="
-                     << sources[i]);
-        if (i % 2 == 1) {
-          ExpectTopKBitIdentical(expected_topk[i], topks[i - begin],
-                                 "top-k lane");
-          EXPECT_TRUE(got[i - begin].scores.empty());
-        } else {
-          ASSERT_TRUE(got[i - begin].status.ok());
-          EXPECT_EQ(got[i - begin].scores, expected_full[i].scores);
-          EXPECT_TRUE(topks[i - begin].entries.empty());
-        }
-      }
-    }
-  }
 }
 
 // --- Cache k-superset rules -------------------------------------------------

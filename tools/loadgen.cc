@@ -24,9 +24,9 @@
 // --closed-loop-burst=B replaces the streaming window with closed-loop
 // bursts: B queries are sent together, then all B responses are drained
 // before the next burst goes out. That is the arrival pattern the
-// server's batch formation (resacc_serve --max-batch/--batch-linger-us)
-// gathers into one multi-source solve, so burst mode is how batching is
-// exercised (and measured) end to end through the line protocol.
+// server's gathering (resacc_serve --max-batch/--batch-linger-us) collects
+// into one gather, so burst mode is how gathering is exercised (and
+// measured) end to end through the line protocol.
 //
 // --mutate=F interleaves graph mutations into the stream: each operation
 // is, with probability F, an `addedge`/`rmedge` line (edges previously
