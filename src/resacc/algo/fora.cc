@@ -47,8 +47,7 @@ ControlledQueryResult Fora::QueryControlled(NodeId source,
   const NodeId seeds[] = {source};
   last_stats_.push =
       RunForwardSearch(graph_, config_, source, r_max_, seeds,
-                       /*push_seeds_unconditionally=*/false, state_,
-                       PushOrder::kFifo, cancel);
+                       /*push_seeds_unconditionally=*/false, state_, cancel);
   last_stats_.push_seconds = phase.ElapsedSeconds();
   if (ShouldStop(cancel)) {
     result.status = cancel->StopStatus();

@@ -1,9 +1,5 @@
 #include "resacc/core/forward_push.h"
 
-#include <queue>
-#include <utility>
-#include <vector>
-
 #include "resacc/core/frontier.h"
 
 namespace resacc {
@@ -39,26 +35,23 @@ void ForwardPushAt(const Graph& graph, const RwrConfig& config, NodeId source,
   state.SetResidue(node, 0.0);
 }
 
-namespace {
-
 // How many work-list dequeues happen between cancellation-token polls.
 // A poll is one relaxed load (plus a clock read when a deadline is
 // armed); 512 pops of push work dwarf that, so the overhead is noise
 // while the stop latency stays far under a millisecond.
 constexpr std::uint64_t kCancelPollInterval = 512;
 
-// Level-synchronous work list on the shared Frontier (see frontier.h):
-// seeds form round 0 in caller order, everything after runs in canonical
-// ascending-id rounds — the wavefront behaviour of the classic FIFO with a
-// processing order that is a pure function of the scheduled (node, round)
-// pairs.
-void ForwardSearchLevelSync(const Graph& graph, const RwrConfig& config,
-                            NodeId source, Score r_max,
-                            std::span<const NodeId> seeds,
-                            bool push_seeds_unconditionally, PushState& state,
-                            const CancellationToken* cancel,
-                            const PushRoundHook* round_hook,
-                            PushStats& stats) {
+PushStats RunForwardSearch(const Graph& graph, const RwrConfig& config,
+                           NodeId source, Score r_max,
+                           std::span<const NodeId> seeds,
+                           bool push_seeds_unconditionally, PushState& state,
+                           const CancellationToken* cancel,
+                           const PushRoundHook* round_hook,
+                           PushStats* progress) {
+  PushStats local;
+  PushStats& stats = progress != nullptr ? *progress : local;
+  stats = PushStats{};
+
   Frontier frontier(graph.num_nodes());
   for (NodeId seed : seeds) frontier.Seed(seed);
 
@@ -94,80 +87,6 @@ void ForwardSearchLevelSync(const Graph& graph, const RwrConfig& config,
         SatisfiesPushCondition(graph, state, source, r_max)) {
       frontier.Schedule(source);
     }
-  }
-}
-
-// Max-residue-first work list. Heap entries carry the residue observed at
-// enqueue time; a node already in the heap is not re-inserted when its
-// residue grows (the stale, smaller key only delays its pop — by then it
-// has accumulated even more, which is exactly the intent).
-void ForwardSearchMaxFirst(const Graph& graph, const RwrConfig& config,
-                           NodeId source, Score r_max,
-                           std::span<const NodeId> seeds,
-                           bool push_seeds_unconditionally, PushState& state,
-                           const CancellationToken* cancel, PushStats& stats) {
-  std::priority_queue<std::pair<Score, NodeId>> heap;
-  std::vector<std::uint8_t> in_heap(graph.num_nodes(), 0);
-  std::vector<std::uint8_t> is_seed(graph.num_nodes(), 0);
-
-  for (NodeId seed : seeds) {
-    if (!in_heap[seed]) {
-      in_heap[seed] = 1;
-      if (push_seeds_unconditionally) is_seed[seed] = 1;
-      heap.emplace(state.residue(seed), seed);
-    }
-  }
-
-  auto try_enqueue = [&](NodeId v) {
-    if (!in_heap[v] && SatisfiesPushCondition(graph, state, v, r_max)) {
-      in_heap[v] = 1;
-      heap.emplace(state.residue(v), v);
-    }
-  };
-
-  std::uint64_t pops = 0;
-  while (!heap.empty()) {
-    if (cancel != nullptr && (++pops % kCancelPollInterval) == 0 &&
-        cancel->ShouldStop()) {
-      break;
-    }
-    const NodeId node = heap.top().second;
-    heap.pop();
-    in_heap[node] = 0;
-
-    const bool unconditional = is_seed[node] != 0;
-    is_seed[node] = 0;
-    if (!unconditional && !SatisfiesPushCondition(graph, state, node, r_max)) {
-      continue;
-    }
-    ForwardPushAt(graph, config, source, node, state, stats);
-
-    for (NodeId v : graph.OutNeighbors(node)) try_enqueue(v);
-    if (config.dangling == DanglingPolicy::kBackToSource) {
-      try_enqueue(source);
-    }
-  }
-}
-
-}  // namespace
-
-PushStats RunForwardSearch(const Graph& graph, const RwrConfig& config,
-                           NodeId source, Score r_max,
-                           std::span<const NodeId> seeds,
-                           bool push_seeds_unconditionally, PushState& state,
-                           PushOrder order, const CancellationToken* cancel,
-                           const PushRoundHook* round_hook,
-                           PushStats* progress) {
-  PushStats local;
-  PushStats& stats = progress != nullptr ? *progress : local;
-  stats = PushStats{};
-  if (order == PushOrder::kMaxResidueFirst) {
-    ForwardSearchMaxFirst(graph, config, source, r_max, seeds,
-                          push_seeds_unconditionally, state, cancel, stats);
-  } else {
-    ForwardSearchLevelSync(graph, config, source, r_max, seeds,
-                           push_seeds_unconditionally, state, cancel,
-                           round_hook, stats);
   }
   return stats;
 }

@@ -42,37 +42,25 @@ inline bool SatisfiesPushCondition(const Graph& graph, const PushState& state,
 void ForwardPushAt(const Graph& graph, const RwrConfig& config, NodeId source,
                    NodeId node, PushState& state, PushStats& stats);
 
-// Work-list policy for the forward search.
-enum class PushOrder {
-  // Level-synchronous rounds on the shared Frontier (frontier.h) — the
-  // classic FIFO wavefront with a canonical ascending-id order inside
-  // each round, and the default everywhere. Wavefronts maximize residue
-  // accumulation (a node collects from its whole in-frontier before it is
-  // popped), and the canonical in-round order makes the processing
-  // sequence deterministic in the scheduled (node, round) pairs alone.
-  // The enum name is kept for the queue family it belongs to.
-  kFifo,
-  // Largest residue first (lazy max-heap). Measured *worse* than kFifo on
-  // power-law graphs (5-7x more pushes: the greedy pop re-processes hub
-  // nodes as mass trickles in) — kept as an experimentation knob and
-  // pinned by push_order_test.
-  kMaxResidueFirst,
-};
-
 // Invoked by the level-synchronous search each time the Frontier promotes
 // to a new round (before any node of that round is pushed). Returning true
 // stops the search there; the state is a valid intermediate exactly as
 // with cancellation. The top-k solver hangs its separation and price
 // checks here — round boundaries are the only points whose position in
 // the processing sequence is a pure function of the scheduled (node,
-// round) pairs, so a hook's decisions are deterministic. A hook that needs the work done so far reads it from the
-// search's `progress` counters (RunForwardSearch).
-// Ignored by kMaxResidueFirst (no round structure).
+// round) pairs, so a hook's decisions are deterministic. A hook that
+// needs the work done so far reads it from the search's `progress`
+// counters (RunForwardSearch).
 using PushRoundHook = std::function<bool(std::size_t round)>;
 
-// Queue-driven forward search (Algorithm 1, generalized):
-//  * `seeds` are enqueued first; when `push_seeds_unconditionally` they
-//    are pushed even if below threshold (OMFWD seeds the accumulated
+// Queue-driven forward search (Algorithm 1, generalized), in
+// level-synchronous rounds on the shared Frontier (frontier.h): the
+// classic FIFO wavefront with a canonical ascending-id order inside each
+// round. A wavefront lets a node collect from its whole in-frontier before
+// it is pushed, and the canonical order makes the processing sequence
+// deterministic in the scheduled (node, round) pairs alone.
+//  * `seeds` are round 0, in caller order; when `push_seeds_unconditionally`
+//    they are pushed even if below threshold (OMFWD seeds the accumulated
 //    (h+1)-layer this way, Algorithm 4).
 //  * afterwards, any node whose residue meets the push condition with
 //    `r_max` is pushed until none remains.
@@ -88,7 +76,6 @@ PushStats RunForwardSearch(const Graph& graph, const RwrConfig& config,
                            NodeId source, Score r_max,
                            std::span<const NodeId> seeds,
                            bool push_seeds_unconditionally, PushState& state,
-                           PushOrder order = PushOrder::kFifo,
                            const CancellationToken* cancel = nullptr,
                            const PushRoundHook* round_hook = nullptr,
                            PushStats* progress = nullptr);

@@ -222,8 +222,8 @@ TopKResult SolveTopKFromState(const Graph& graph, const RwrConfig& config,
                               sep.r_sum);
       };
       RunForwardSearch(graph, config, source, next_r_max, seeds,
-                       /*push_seeds_unconditionally=*/false, state,
-                       PushOrder::kFifo, cancel, &hook, &stage);
+                       /*push_seeds_unconditionally=*/false, state, cancel,
+                       &hook, &stage);
       result.refine_edges += stage.edge_traversals;
     }
     ++result.refine_stages;

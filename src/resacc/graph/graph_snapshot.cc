@@ -3,6 +3,9 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -312,6 +315,41 @@ StatusOr<Graph> LoadSnapshotBuffered(const std::string& path,
 }
 
 }  // namespace
+
+Status ValidateCsr(const Graph& graph) {
+  const std::uint64_t n = graph.num_nodes();
+  const std::span<const EdgeId> out_offsets = graph.raw_out_offsets();
+  const std::span<const NodeId> out_targets = graph.raw_out_targets();
+  const std::span<const EdgeId> in_offsets = graph.raw_in_offsets();
+  const std::span<const NodeId> in_sources = graph.raw_in_sources();
+  const auto corrupt = [](const char* array, std::uint64_t at) {
+    return Status::InvalidArgument("corrupt CSR: " + std::string(array) +
+                                   "[" + std::to_string(at) + "]");
+  };
+  for (const auto& [name, offsets, m] :
+       {std::tuple{"out_offsets", out_offsets, out_targets.size()},
+        std::tuple{"in_offsets", in_offsets, in_sources.size()}}) {
+    if (offsets.size() != n + 1 || offsets[0] != 0) return corrupt(name, 0);
+    for (std::uint64_t u = 0; u < n; ++u) {
+      if (offsets[u + 1] < offsets[u]) return corrupt(name, u + 1);
+    }
+    if (offsets[n] != m) return corrupt(name, n);
+  }
+  for (const auto& [name, ids] : {std::pair{"out_targets", out_targets},
+                                  std::pair{"in_sources", in_sources}}) {
+    for (std::uint64_t e = 0; e < ids.size(); ++e) {
+      if (ids[e] >= n) return corrupt(name, e);
+    }
+  }
+  std::vector<EdgeId> in_degree(n, 0);
+  for (const NodeId v : out_targets) ++in_degree[v];
+  for (std::uint64_t v = 0; v < n; ++v) {
+    if (in_degree[v] != in_offsets[v + 1] - in_offsets[v]) {
+      return corrupt("in_offsets", v + 1);
+    }
+  }
+  return Status::Ok();
+}
 
 Status SaveSnapshot(const Graph& graph, const std::string& path,
                     std::uint64_t generation) {

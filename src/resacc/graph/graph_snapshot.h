@@ -54,6 +54,14 @@ StatusOr<Graph> LoadSnapshot(const std::string& path,
                              const SnapshotLoadOptions& options = {},
                              SnapshotLoadInfo* info = nullptr);
 
+// O(n + m) structural check of a flat CSR graph read from outside the
+// process, which LoadSnapshot's O(header) validation cannot see into: both
+// offset arrays rise monotonically from 0 to m, every id is < n, and the
+// in-degrees counted from out_targets equal the in_offsets differences.
+// kInvalidArgument naming the first violation. resacc and resacc_serve
+// run it on every graph they load.
+Status ValidateCsr(const Graph& graph);
+
 // FNV-1a (64-bit) over a byte range, chainable via `seed`; the snapshot's
 // header and section checksums. Exposed for tests and tooling.
 std::uint64_t SnapshotChecksum(

@@ -41,6 +41,19 @@ std::string JsonStats(const OpStats& s) {
 
 }  // namespace
 
+OpStats& OpStats::operator+=(const OpStats& other) {
+  sent += other.sent;
+  ok += other.ok;
+  rejected += other.rejected;
+  deadline_exceeded += other.deadline_exceeded;
+  errors += other.errors;
+  degraded += other.degraded;
+  stale += other.stale;
+  cache_hits += other.cache_hits;
+  certified += other.certified;
+  return *this;
+}
+
 std::uint64_t WorkloadReport::TotalSent() const {
   std::uint64_t n = 0;
   for (const OpStats& s : classes) n += s.sent;
@@ -241,70 +254,100 @@ Status CheckBoundsFile(const WorkloadReport& report, const std::string& path) {
   return CheckBounds(report, buffer.str(), path);
 }
 
-WorkloadDriver::WorkloadDriver(const WorkloadSpec& spec, QueryService* service,
-                               MutableGraphView* view)
-    : spec_(spec), service_(service), view_(view) {
-  RESACC_CHECK(service_ != nullptr);
-  RESACC_CHECK(!spec_.tenants.empty());
-  num_nodes_ = service_->graph().num_nodes();
-  cells_ = std::make_unique<std::array<Cell, kNumOpClasses>[]>(
-      spec_.tenants.size());
-  computed_ok_.assign(spec_.tenants.size(), 0);
-}
-
-void WorkloadDriver::RecordResponse(std::size_t tenant_index,
-                                    const WorkloadOp& op,
-                                    const QueryResponse& response) {
-  Cell& cell = cells_[tenant_index][static_cast<std::size_t>(op.cls)];
-  if (response.status.ok()) {
-    ++cell.ok;
-    if (response.degraded) ++cell.degraded;
-    if (response.stale) ++cell.stale;
-    if (response.cache_hit) ++cell.cache_hits;
-    if (op.cls == OpClass::kTopK && response.topk != nullptr &&
-        response.top.size() >= op.top_k) {
-      ++cell.certified;
-    }
-    cell.latency.Record(response.latency_seconds);
-    class_latency_[static_cast<std::size_t>(op.cls)].Record(
-        response.latency_seconds);
-    if (!response.cache_hit && !response.coalesced) {
-      ++computed_ok_[tenant_index];
-    }
-  } else if (response.status.code() == StatusCode::kResourceExhausted) {
-    ++cell.rejected;
-  } else if (response.status.code() == StatusCode::kDeadlineExceeded) {
-    ++cell.deadline_exceeded;
-  } else {
-    ++cell.errors;
+WorkloadTally::WorkloadTally(const WorkloadSpec& spec)
+    : seed_(spec.seed),
+      cells_(std::make_unique<std::array<Cell, kNumOpClasses>[]>(
+          spec.tenants.size())),
+      computed_ok_(spec.tenants.size(), 0) {
+  for (const TenantSpec& tenant : spec.tenants) {
+    tenant_names_.push_back(tenant.name);
   }
 }
 
-void WorkloadDriver::ApplyMutation(std::size_t tenant_index,
-                                   const WorkloadOp& op) {
+void WorkloadTally::Sent(const WorkloadOp& op) {
+  ++cells_[op.tenant][static_cast<std::size_t>(op.cls)].counts.sent;
+}
+
+void WorkloadTally::Record(const WorkloadOp& op, const OpOutcome& outcome) {
+  const std::size_t c = static_cast<std::size_t>(op.cls);
+  Cell& cell = cells_[op.tenant][c];
+  OpStats& counts = cell.counts;
+  switch (outcome.code) {
+    case StatusCode::kOk:
+      break;
+    case StatusCode::kResourceExhausted:
+      ++counts.rejected;
+      return;
+    case StatusCode::kDeadlineExceeded:
+      ++counts.deadline_exceeded;
+      return;
+    default:
+      ++counts.errors;
+      return;
+  }
+  ++counts.ok;
+  if (outcome.degraded) ++counts.degraded;
+  if (outcome.stale) ++counts.stale;
+  if (outcome.cache_hit) ++counts.cache_hits;
+  if (op.cls == OpClass::kTopK && outcome.entries >= op.top_k) {
+    ++counts.certified;
+  }
+  cell.latency.Record(outcome.latency_seconds);
+  class_latency_[c].Record(outcome.latency_seconds);
+  if (op.cls != OpClass::kMutation && !outcome.cache_hit &&
+      !outcome.coalesced) {
+    ++computed_ok_[op.tenant];
+  }
+}
+
+WorkloadReport WorkloadTally::Report(double wall_seconds) const {
+  WorkloadReport report;
+  report.wall_seconds = wall_seconds;
+  report.seed = seed_;
+  report.tenant_names = tenant_names_;
+  report.tenants.resize(tenant_names_.size());
+  report.computed_ok = computed_ok_;
+  for (std::size_t t = 0; t < tenant_names_.size(); ++t) {
+    for (std::size_t c = 0; c < kNumOpClasses; ++c) {
+      OpStats& s = report.tenants[t][c];
+      s = cells_[t][c].counts;
+      s.latency = cells_[t][c].latency.TakeSnapshot();
+      report.classes[c] += s;
+    }
+  }
+  for (std::size_t c = 0; c < kNumOpClasses; ++c) {
+    report.classes[c].latency = class_latency_[c].TakeSnapshot();
+  }
+  return report;
+}
+
+WorkloadDriver::WorkloadDriver(const WorkloadSpec& spec, QueryService* service,
+                               MutableGraphView* view)
+    : spec_(spec), service_(service), view_(view), tally_(spec) {
+  RESACC_CHECK(service_ != nullptr);
+  RESACC_CHECK(!spec_.tenants.empty());
+  num_nodes_ = service_->graph().num_nodes();
+}
+
+void WorkloadDriver::ApplyMutation(const WorkloadOp& op) {
   if (view_ == nullptr) return;  // query-only harness: mutations skipped
-  Cell& cell =
-      cells_[tenant_index][static_cast<std::size_t>(OpClass::kMutation)];
-  ++cell.sent;
+  tally_.Sent(op);
   Timer timer;
   GraphDelta delta;
   const Status status =
       op.remove ? view_->RemoveEdge(op.source, op.target, &delta)
                 : view_->AddEdge(op.source, op.target, &delta);
-  if (status.ok()) {
-    service_->UpdateGraph(view_->Snapshot(), delta);
-  } else if (status.code() != StatusCode::kAlreadyExists &&
-             status.code() != StatusCode::kNotFound) {
-    // Validated no-ops (duplicate add against a pre-existing edge, remove
-    // of an edge another tenant already took) are fine; anything else is a
-    // real failure.
-    ++cell.errors;
-    return;
+  if (status.ok()) service_->UpdateGraph(view_->Snapshot(), delta);
+  // Validated no-ops (duplicate add against a pre-existing edge, remove of
+  // an edge another tenant already took) are fine; anything else is a
+  // real failure.
+  OpOutcome outcome;
+  if (status.code() != StatusCode::kAlreadyExists &&
+      status.code() != StatusCode::kNotFound) {
+    outcome.code = status.code();
   }
-  const double seconds = timer.ElapsedSeconds();
-  ++cell.ok;
-  cell.latency.Record(seconds);
-  class_latency_[static_cast<std::size_t>(OpClass::kMutation)].Record(seconds);
+  outcome.latency_seconds = timer.ElapsedSeconds();
+  tally_.Record(op, outcome);
 }
 
 void WorkloadDriver::TenantLoop(std::size_t tenant_index) {
@@ -324,17 +367,25 @@ void WorkloadDriver::TenantLoop(std::size_t tenant_index) {
 
   auto settle_front = [&] {
     Pending& front = pending.front();
-    RecordResponse(tenant_index, front.op, front.future.get());
+    const QueryResponse response = front.future.get();
+    OpOutcome outcome;
+    outcome.code = response.status.code();
+    outcome.cache_hit = response.cache_hit;
+    outcome.coalesced = response.coalesced;
+    outcome.degraded = response.degraded;
+    outcome.stale = response.stale;
+    outcome.entries = response.top.size();
+    outcome.latency_seconds = response.latency_seconds;
+    tally_.Record(front.op, outcome);
     pending.pop_front();
   };
 
   auto issue = [&](WorkloadOp op) {
     if (op.cls == OpClass::kMutation) {
-      ApplyMutation(tenant_index, op);
+      ApplyMutation(op);
       return;
     }
-    Cell& cell = cells_[tenant_index][static_cast<std::size_t>(op.cls)];
-    ++cell.sent;
+    tally_.Sent(op);
     QueryRequest request;
     request.source = op.source;
     request.top_k = op.top_k;
@@ -380,45 +431,7 @@ WorkloadReport WorkloadDriver::Run() {
     threads.emplace_back([this, i] { TenantLoop(i); });
   }
   for (std::thread& t : threads) t.join();
-
-  WorkloadReport report;
-  report.spec_origin = "";
-  report.wall_seconds = wall.ElapsedSeconds();
-  report.seed = spec_.seed;
-  report.tenants.resize(spec_.tenants.size());
-  report.computed_ok = computed_ok_;
-  for (std::size_t t = 0; t < spec_.tenants.size(); ++t) {
-    report.tenant_names.push_back(spec_.tenants[t].name);
-    for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-      const Cell& cell = cells_[t][c];
-      OpStats& s = report.tenants[t][c];
-      s.sent = cell.sent;
-      s.ok = cell.ok;
-      s.rejected = cell.rejected;
-      s.deadline_exceeded = cell.deadline_exceeded;
-      s.errors = cell.errors;
-      s.degraded = cell.degraded;
-      s.stale = cell.stale;
-      s.cache_hits = cell.cache_hits;
-      s.certified = cell.certified;
-      s.latency = cell.latency.TakeSnapshot();
-
-      OpStats& agg = report.classes[c];
-      agg.sent += cell.sent;
-      agg.ok += cell.ok;
-      agg.rejected += cell.rejected;
-      agg.deadline_exceeded += cell.deadline_exceeded;
-      agg.errors += cell.errors;
-      agg.degraded += cell.degraded;
-      agg.stale += cell.stale;
-      agg.cache_hits += cell.cache_hits;
-      agg.certified += cell.certified;
-    }
-  }
-  for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-    report.classes[c].latency = class_latency_[c].TakeSnapshot();
-  }
-  return report;
+  return tally_.Report(wall.ElapsedSeconds());
 }
 
 }  // namespace resacc

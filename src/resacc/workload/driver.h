@@ -33,6 +33,9 @@ struct OpStats {
   // prefix or the documented wider certified set).
   std::uint64_t certified = 0;
   LatencyHistogram::Snapshot latency;
+
+  // Adds `other`'s counts; latency is left as it is.
+  OpStats& operator+=(const OpStats& other);
 };
 
 // What one driver run measured. ToJson renders the BENCH_workload.json
@@ -76,6 +79,50 @@ Status CheckBounds(const WorkloadReport& report, const std::string& text,
                    const std::string& origin = "<bounds>");
 Status CheckBoundsFile(const WorkloadReport& report, const std::string& path);
 
+// One op's outcome as a driver saw it, in-process or through the pipe.
+struct OpOutcome {
+  StatusCode code = StatusCode::kOk;
+  bool cache_hit = false;
+  bool coalesced = false;
+  bool degraded = false;
+  bool stale = false;
+  std::size_t entries = 0;  // top-k entries the answer carried
+  double latency_seconds = 0.0;
+};
+
+// Folds op outcomes into a WorkloadReport; the in-process driver and
+// RunProtocolWorkload both count through it. Calls for one tenant must
+// come from one thread at a time; tenants may record concurrently.
+class WorkloadTally {
+ public:
+  explicit WorkloadTally(const WorkloadSpec& spec);
+
+  void Sent(const WorkloadOp& op);
+  // kOk counts as ok, with its flags and latency; kResourceExhausted as
+  // rejected; kDeadlineExceeded as deadline_exceeded; any other code as an
+  // error. A top-k answer is certified when it carries at least the k the
+  // op asked for; OK queries neither hit nor coalesced are computed_ok.
+  void Record(const WorkloadOp& op, const OpOutcome& outcome);
+
+  // Everything tallied so far; spec_origin is left empty.
+  WorkloadReport Report(double wall_seconds) const;
+
+ private:
+  struct Cell {
+    OpStats counts;  // latency comes from the histogram at Report time
+    LatencyHistogram latency;  // atomic
+  };
+
+  std::uint64_t seed_;
+  std::vector<std::string> tenant_names_;
+  // [tenant][class]; unique_ptr array because Cell's histogram holds
+  // atomics and cannot be moved, which std::vector would require.
+  std::unique_ptr<std::array<Cell, kNumOpClasses>[]> cells_;
+  // Shared by all tenants' recorders; records are atomic.
+  std::array<LatencyHistogram, kNumOpClasses> class_latency_;
+  std::vector<std::uint64_t> computed_ok_;  // per tenant
+};
+
 // Multi-tenant closed+open-loop driver over an in-process QueryService.
 // One thread per tenant: open-loop tenants (rate > 0) pace submissions on
 // the wall clock and park futures; closed-loop tenants keep `concurrency`
@@ -96,38 +143,14 @@ class WorkloadDriver {
   WorkloadReport Run();
 
  private:
-  // Per-(tenant, class) accumulation. Counts are only written by the
-  // owning tenant's thread; the histogram is internally atomic.
-  struct Cell {
-    std::uint64_t sent = 0;
-    std::uint64_t ok = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t deadline_exceeded = 0;
-    std::uint64_t errors = 0;
-    std::uint64_t degraded = 0;
-    std::uint64_t stale = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t certified = 0;
-    LatencyHistogram latency;
-  };
-
   void TenantLoop(std::size_t tenant_index);
-  void RecordResponse(std::size_t tenant_index, const WorkloadOp& op,
-                      const QueryResponse& response);
-  void ApplyMutation(std::size_t tenant_index, const WorkloadOp& op);
+  void ApplyMutation(const WorkloadOp& op);
 
   const WorkloadSpec spec_;
   QueryService* const service_;
   MutableGraphView* const view_;
   NodeId num_nodes_;
-
-  // [tenant][class]; unique_ptr array because Cell's histogram holds
-  // atomics and cannot be moved, which std::vector would require.
-  std::unique_ptr<std::array<Cell, kNumOpClasses>[]> cells_;
-  // Class aggregates are shared across tenant threads; LatencyHistogram
-  // records are atomic, counters are summed from cells at the end.
-  std::array<LatencyHistogram, kNumOpClasses> class_latency_;
-  std::vector<std::uint64_t> computed_ok_;  // per tenant
+  WorkloadTally tally_;
 };
 
 }  // namespace resacc

@@ -3,27 +3,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <array>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <deque>
-#include <vector>
+#include <utility>
 
-#include "resacc/util/histogram.h"
+#include "resacc/serve/protocol.h"
 #include "resacc/util/timer.h"
 
 namespace resacc {
-namespace {
-
-// "key=value" integer lookup inside a response line; `fallback` when the
-// key is absent.
-double FindValue(const std::string& line, const char* key, double fallback) {
-  const char* hit = std::strstr(line.c_str(), key);
-  if (hit == nullptr) return fallback;
-  return std::atof(hit + std::strlen(key));
-}
-
-}  // namespace
 
 ProtocolClient::~ProtocolClient() { Shutdown(); }
 
@@ -56,12 +44,17 @@ Status ProtocolClient::Spawn(const std::string& command) {
 }
 
 StatusOr<NodeId> ProtocolClient::Handshake() {
-  SendLine("info");
+  SendLine(protocol::FormatRequest(protocol::Verb::kInfo));
   Flush();
   std::string line;
-  unsigned long nodes = 0;
-  if (!ReadLine(line) ||
-      std::sscanf(line.c_str(), "info nodes=%lu", &nodes) != 1 || nodes == 0) {
+  double nodes = 0.0;
+  if (ReadLine(line)) {
+    const StatusOr<protocol::Response> info = protocol::ParseResponse(line);
+    if (info.ok() && info.value().tag == "info") {
+      nodes = info.value().Field("nodes").value_or(0.0);
+    }
+  }
+  if (!(nodes >= 1.0)) {
     return Status::Internal("bad handshake: '" + line + "'");
   }
   return static_cast<NodeId>(nodes);
@@ -69,56 +62,30 @@ StatusOr<NodeId> ProtocolClient::Handshake() {
 
 std::string ProtocolClient::FormatOp(const WorkloadOp& op,
                                      const std::string& tenant) {
-  char buf[160];
+  protocol::Request request;
+  request.source = op.source;
   switch (op.cls) {
     case OpClass::kMutation:
-      std::snprintf(buf, sizeof(buf), "%s %u %u",
-                    op.remove ? "rmedge" : "addedge", op.source, op.target);
-      return buf;
+      request.verb =
+          op.remove ? protocol::Verb::kRmEdge : protocol::Verb::kAddEdge;
+      request.target = op.target;
+      return protocol::FormatRequest(request);
     case OpClass::kTopK:
-      std::snprintf(buf, sizeof(buf), "topk %u %zu", op.source,
-                    op.top_k > 0 ? op.top_k : std::size_t{10});
+      request.verb = protocol::Verb::kTopK;
+      request.count = static_cast<std::uint32_t>(op.top_k > 0 ? op.top_k : 10);
       break;
     case OpClass::kFull:
-      std::snprintf(buf, sizeof(buf), "query %u 10", op.source);
+      request.verb = protocol::Verb::kQuery;
       break;
     case OpClass::kDeadline:
-      std::snprintf(buf, sizeof(buf), "query %u 10 deadline_ms=%.3f",
-                    op.source, op.deadline_seconds * 1e3);
-      break;
     case OpClass::kDegraded:
-      std::snprintf(buf, sizeof(buf),
-                    "query %u 10 deadline_ms=%.3f degraded=1", op.source,
-                    op.deadline_seconds * 1e3);
+      request.verb = protocol::Verb::kQuery;
+      request.deadline_ms = std::round(op.deadline_seconds * 1e6) / 1e3;
+      request.degraded = op.cls == OpClass::kDegraded;
       break;
   }
-  std::string line = buf;
-  if (!tenant.empty()) line += " tenant=" + tenant;
-  return line;
-}
-
-ProtocolResponse ProtocolClient::ParseResponse(const std::string& line) {
-  ProtocolResponse response;
-  response.raw = line;
-  response.ok = line.rfind("ok ", 0) == 0;
-  if (!response.ok) {
-    // Classify the documented non-OK outcomes so replay accounting
-    // matches the in-process driver: expiry and backpressure are
-    // expected load-dependent behavior, not errors.
-    response.deadline_expired =
-        line.find("DEADLINE_EXCEEDED") != std::string::npos;
-    response.rejected =
-        line.find("RESOURCE_EXHAUSTED") != std::string::npos;
-    return response;
-  }
-  response.hit = FindValue(line, "hit=", 0.0) > 0.5;
-  response.coalesced = FindValue(line, "coalesced=", 0.0) > 0.5;
-  response.degraded = FindValue(line, "degraded=", 0.0) > 0.5;
-  response.stale = FindValue(line, "stale=", 0.0) > 0.5;
-  response.certified = FindValue(line, "certified=", 0.0) > 0.5;
-  response.k = static_cast<std::size_t>(FindValue(line, "k=", 0.0));
-  response.latency_seconds = FindValue(line, "us=", 0.0) / 1e6;
-  return response;
+  request.tenant = tenant;
+  return protocol::FormatRequest(request);
 }
 
 void ProtocolClient::SendLine(const std::string& line) {
@@ -128,28 +95,22 @@ void ProtocolClient::SendLine(const std::string& line) {
 void ProtocolClient::Flush() { std::fflush(to_server_); }
 
 bool ProtocolClient::ReadLine(std::string& out) {
-  char buf[4096];
-  if (std::fgets(buf, sizeof(buf), from_server_) == nullptr) return false;
-  out.assign(buf);
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-    out.pop_back();
-  }
-  return true;
+  return protocol::ReadLine(from_server_, &out);
 }
 
 int ProtocolClient::Shutdown() {
   if (pid_ < 0) return 0;
   if (to_server_ != nullptr) {
-    std::fprintf(to_server_, "quit\n");
-    std::fflush(to_server_);
+    SendLine(protocol::FormatRequest(protocol::Verb::kQuit));
+    Flush();
     fclose(to_server_);
     to_server_ = nullptr;
   }
   if (from_server_ != nullptr) {
     // Drain whatever the server still writes (at least `bye`) so it never
     // blocks on a full pipe while exiting.
-    char buf[4096];
-    while (std::fgets(buf, sizeof(buf), from_server_) != nullptr) {
+    std::string ignored;
+    while (protocol::ReadLine(from_server_, &ignored, /*keep=*/0)) {
     }
     fclose(from_server_);
     from_server_ = nullptr;
@@ -164,18 +125,8 @@ Status RunProtocolWorkload(const WorkloadSpec& spec, ProtocolClient& client,
                            NodeId num_nodes, std::size_t window,
                            WorkloadReport* report) {
   MergedOpStream stream(spec, num_nodes);
+  WorkloadTally tally(spec);
   if (window == 0) window = 1;
-
-  struct Cell {
-    std::uint64_t sent = 0, ok = 0, errors = 0, rejected = 0,
-                  deadline_exceeded = 0, degraded = 0, stale = 0,
-                  cache_hits = 0, certified = 0;
-    LatencyHistogram latency;
-  };
-  // deque, not vector: Cell's histogram holds atomics and cannot move.
-  std::deque<std::array<Cell, kNumOpClasses>> cells(spec.tenants.size());
-  std::array<LatencyHistogram, kNumOpClasses> class_latency;
-  std::vector<std::uint64_t> computed_ok(spec.tenants.size(), 0);
 
   struct InFlight {
     WorkloadOp op;
@@ -184,35 +135,26 @@ Status RunProtocolWorkload(const WorkloadSpec& spec, ProtocolClient& client,
   std::deque<InFlight> in_flight;
   std::string line;
 
+  // Reads the front op's answer; false when the server closed the pipe. A
+  // line that is neither `ok ...` nor `err ...` counts as an error.
   auto settle_front = [&]() -> bool {
     if (!client.ReadLine(line)) return false;
-    const InFlight& sent_op = in_flight.front();
-    const ProtocolResponse resp = ProtocolClient::ParseResponse(line);
-    const std::size_t c = static_cast<std::size_t>(sent_op.op.cls);
-    Cell& cell = cells[sent_op.op.tenant][c];
-    if (resp.ok) {
-      ++cell.ok;
-      if (resp.degraded) ++cell.degraded;
-      if (resp.stale) ++cell.stale;
-      if (resp.hit) ++cell.cache_hits;
-      if (sent_op.op.cls == OpClass::kTopK && resp.k >= sent_op.op.top_k) {
-        ++cell.certified;
-      }
-      // Client-observed wall latency; the us= field would miss pipe time.
-      const double seconds = sent_op.timer.ElapsedSeconds();
-      cell.latency.Record(seconds);
-      class_latency[c].Record(seconds);
-      if (!resp.hit && !resp.coalesced &&
-          sent_op.op.cls != OpClass::kMutation) {
-        ++computed_ok[sent_op.op.tenant];
-      }
-    } else if (resp.deadline_expired) {
-      ++cell.deadline_exceeded;
-    } else if (resp.rejected) {
-      ++cell.rejected;
-    } else {
-      ++cell.errors;
-    }
+    StatusOr<protocol::Response> parsed = protocol::ParseResponse(line);
+    protocol::Response answer;
+    if (parsed.ok()) answer = std::move(parsed.value());
+    const InFlight& sent = in_flight.front();
+    OpOutcome outcome;
+    outcome.code = answer.tag == "ok"    ? StatusCode::kOk
+                   : answer.tag == "err" ? answer.status.code()
+                                         : StatusCode::kInternal;
+    outcome.cache_hit = answer.Field("hit") == 1.0;
+    outcome.coalesced = answer.Field("coalesced") == 1.0;
+    outcome.degraded = answer.Field("degraded") == 1.0;
+    outcome.stale = answer.Field("stale") == 1.0;
+    outcome.entries = answer.top.size();
+    // Client-observed wall latency; the us= field would miss pipe time.
+    outcome.latency_seconds = sent.timer.ElapsedSeconds();
+    tally.Record(sent.op, outcome);
     in_flight.pop_front();
     return true;
   };
@@ -223,7 +165,7 @@ Status RunProtocolWorkload(const WorkloadSpec& spec, ProtocolClient& client,
       WorkloadOp op = stream.Next();
       client.SendLine(
           ProtocolClient::FormatOp(op, spec.tenants[op.tenant].name));
-      ++cells[op.tenant][static_cast<std::size_t>(op.cls)].sent;
+      tally.Sent(op);
       in_flight.push_back(InFlight{op, Timer()});
     }
     client.Flush();
@@ -237,43 +179,9 @@ Status RunProtocolWorkload(const WorkloadSpec& spec, ProtocolClient& client,
       return Status::Internal("server closed during drain");
     }
   }
-  report->wall_seconds = wall.ElapsedSeconds();
-
-  report->seed = spec.seed;
-  report->classes = {};
-  report->tenant_names.clear();
-  report->tenants.assign(spec.tenants.size(), {});
-  report->computed_ok = computed_ok;
-  for (std::size_t t = 0; t < spec.tenants.size(); ++t) {
-    report->tenant_names.push_back(spec.tenants[t].name);
-    for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-      Cell& cell = cells[t][c];
-      OpStats& s = report->tenants[t][c];
-      s.sent = cell.sent;
-      s.ok = cell.ok;
-      s.errors = cell.errors;
-      s.rejected = cell.rejected;
-      s.deadline_exceeded = cell.deadline_exceeded;
-      s.degraded = cell.degraded;
-      s.stale = cell.stale;
-      s.cache_hits = cell.cache_hits;
-      s.certified = cell.certified;
-      s.latency = cell.latency.TakeSnapshot();
-      OpStats& agg = report->classes[c];
-      agg.sent += s.sent;
-      agg.ok += s.ok;
-      agg.errors += s.errors;
-      agg.rejected += s.rejected;
-      agg.deadline_exceeded += s.deadline_exceeded;
-      agg.degraded += s.degraded;
-      agg.stale += s.stale;
-      agg.cache_hits += s.cache_hits;
-      agg.certified += s.certified;
-    }
-  }
-  for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-    report->classes[c].latency = class_latency[c].TakeSnapshot();
-  }
+  const std::string origin = report->spec_origin;
+  *report = tally.Report(wall.ElapsedSeconds());
+  report->spec_origin = origin;
   return Status::Ok();
 }
 

@@ -13,30 +13,12 @@
 
 namespace resacc {
 
-// The fields a workload client needs out of a resacc_serve response line;
-// `raw` keeps the whole line for anything else.
-struct ProtocolResponse {
-  bool ok = false;
-  bool hit = false;
-  bool coalesced = false;
-  bool degraded = false;
-  bool stale = false;
-  bool certified = false;
-  // Non-OK classification (docs/QUERY_MODES.md outcomes): expiry and
-  // backpressure are load-dependent behavior; anything else non-OK is a
-  // genuine error.
-  bool deadline_expired = false;
-  bool rejected = false;
-  std::size_t k = 0;              // topk responses
-  double latency_seconds = 0.0;   // server-observed (us= field)
-  std::string raw;
-};
-
 // Client side of the resacc_serve stdin/stdout line protocol: spawns the
 // server under /bin/sh (POSIX fork/exec, like the rest of the tooling),
-// performs the `info` handshake, and formats/parses protocol lines.
-// Shared by loadgen --spec and bench_workload --serve so the two tools
-// cannot drift on wire format. Not thread-safe; one client per pipe.
+// performs the `info` handshake, and moves lines through the pipe. Lines
+// are formatted and parsed by serve/protocol.h, the module the server uses
+// too. Shared by loadgen and bench_workload --serve-cmd. Not thread-safe
+// per direction: one thread may send while another reads.
 class ProtocolClient {
  public:
   ProtocolClient() = default;
@@ -54,19 +36,18 @@ class ProtocolClient {
   StatusOr<NodeId> Handshake();
 
   // One protocol line for `op` (docs/WORKLOADS.md maps classes to verbs):
-  //   kFull      query <src> <k> [tenant=T]
+  //   kFull      query <src> 10 [tenant=T]
   //   kTopK      topk <src> <k> [tenant=T]
-  //   kDeadline  query <src> <k> deadline_ms=<D> [tenant=T]
-  //   kDegraded  query <src> <k> deadline_ms=<D> degraded=1 [tenant=T]
+  //   kDeadline  query <src> 10 deadline_ms=<D> [tenant=T]
+  //   kDegraded  query <src> 10 deadline_ms=<D> degraded=1 [tenant=T]
   //   kMutation  addedge <u> <v> | rmedge <u> <v>
-  // `tenant` may be empty (no tenant token).
+  // `tenant` may be empty (no tenant token). D is in milliseconds, to the
+  // microsecond.
   static std::string FormatOp(const WorkloadOp& op,
                               const std::string& tenant);
 
-  // Parses an ok/err response line (query, topk, or mutation shape).
-  static ProtocolResponse ParseResponse(const std::string& line);
-
   // Raw line IO. SendLine appends the newline; Flush after a batch.
+  // ReadLine reads a whole line of any length, without its newline.
   void SendLine(const std::string& line);
   void Flush();
   bool ReadLine(std::string& out);
@@ -85,11 +66,12 @@ class ProtocolClient {
 
 // Replays the spec as one deterministic merged stream (MergedOpStream)
 // over an already-handshaken client with `window` ops pipelined, for
-// spec.duration_seconds of wall time, and fills `report` with the same
-// per-class/per-tenant accounting as the in-process driver (latencies are
-// client-observed wall times; queue-wait/compute split is unavailable
-// through the pipe). kInternal when the server closes mid-run. Used by
-// bench_workload --serve-cmd and loadgen --spec.
+// spec.duration_seconds of wall time, and fills `report` (all but its
+// spec_origin) through the same WorkloadTally as the in-process driver.
+// Latencies are client-observed wall times; the queue-wait/compute split
+// is unavailable through the pipe; a line that is neither `ok` nor `err`
+// counts as an error. kInternal when the server closes mid-run. Used by
+// bench_workload --serve-cmd and loadgen.
 Status RunProtocolWorkload(const WorkloadSpec& spec, ProtocolClient& client,
                            NodeId num_nodes, std::size_t window,
                            WorkloadReport* report);

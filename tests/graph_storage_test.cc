@@ -271,6 +271,71 @@ TEST(SnapshotTest, DetectsSectionCorruptionWhenVerifying) {
   std::remove(path.c_str());
 }
 
+// Header bytes 40 + 8 s hold the file offset of CSR section s (0
+// out_offsets, 1 out_targets, 2 in_offsets, 3 in_sources).
+std::uint64_t SectionOffset(const std::string& path, int section) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(file, nullptr);
+  std::uint64_t offset = 0;
+  std::fseek(file, 40 + 8 * section, SEEK_SET);
+  EXPECT_EQ(std::fread(&offset, sizeof(offset), 1, file), 1u);
+  std::fclose(file);
+  return offset;
+}
+
+template <typename T>
+void WriteAt(const std::string& path, std::uint64_t offset,
+             const std::vector<T>& values) {
+  std::FILE* file = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(file, nullptr);
+  std::fseek(file, static_cast<long>(offset), SEEK_SET);
+  ASSERT_EQ(std::fwrite(values.data(), sizeof(T), values.size(), file),
+            values.size());
+  std::fclose(file);
+}
+
+// The O(header) load cannot see into the edge sections; ValidateCsr,
+// which resacc_serve runs on every graph it loads, must catch what would
+// otherwise crash the first query to read a bad row.
+TEST(SnapshotTest, ValidateCsrRejectsCorruptSections) {
+  const Graph graph = ChungLuPowerLaw(2000, 16000, 2.2, /*seed=*/5);
+  const std::string path = TempPath("corrupt_csr.rsg");
+  ASSERT_TRUE(SaveSnapshot(graph, path).ok());
+  EXPECT_TRUE(ValidateCsr(graph).ok());
+  {
+    const StatusOr<Graph> clean = LoadSnapshot(path);
+    ASSERT_TRUE(clean.ok());
+    EXPECT_TRUE(ValidateCsr(clean.value()).ok());
+  }
+  const auto expect_rejected = [&path](const char* what) {
+    const StatusOr<Graph> loaded = LoadSnapshot(path);
+    ASSERT_TRUE(loaded.ok()) << what;
+    const Status status = ValidateCsr(loaded.value());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << what;
+    EXPECT_NE(status.message().find("corrupt CSR"), std::string::npos)
+        << what << ": " << status.ToString();
+  };
+
+  // 64 out_targets overwritten with an id far past n.
+  WriteAt(path, SectionOffset(path, 1),
+          std::vector<NodeId>(64, NodeId{0x7FFFFF00}));
+  expect_rejected("ids past n");
+
+  // One target moved to another valid id: in-degrees no longer match.
+  ASSERT_TRUE(SaveSnapshot(graph, path).ok());
+  const NodeId first = graph.raw_out_targets()[0];
+  WriteAt(path, SectionOffset(path, 1),
+          std::vector<NodeId>{static_cast<NodeId>((first + 1) % 2000)});
+  expect_rejected("in-degree mismatch");
+
+  // An interior out_offsets entry past its successor.
+  ASSERT_TRUE(SaveSnapshot(graph, path).ok());
+  WriteAt(path, SectionOffset(path, 0) + 10 * sizeof(EdgeId),
+          std::vector<EdgeId>{graph.num_edges()});
+  expect_rejected("offsets not monotone");
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotTest, RejectsBadMagic) {
   const std::string path = TempPath("bad_magic.rsg");
   WriteFile(path, std::string(256, 'x'));

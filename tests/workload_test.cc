@@ -277,5 +277,67 @@ end
   EXPECT_EQ(malformed.code(), StatusCode::kInvalidArgument);
 }
 
+// Both drivers count through WorkloadTally: one rule per outcome code, and
+// one top-k coverage rule (the entries an answer carried, whichever
+// transport delivered it).
+TEST(WorkloadTest, TallyCountsEachOutcomeByOneRule) {
+  const StatusOr<WorkloadSpec> parsed = WorkloadSpec::Parse(R"(
+tenant a
+  class full 1
+end
+tenant b
+  class topk 1
+end
+)");
+  ASSERT_TRUE(parsed.ok());
+  WorkloadTally tally(parsed.value());
+  WorkloadOp topk;
+  topk.cls = OpClass::kTopK;
+  topk.tenant = 1;
+  topk.top_k = 5;
+  WorkloadOp full;
+  WorkloadOp mutation;
+  mutation.cls = OpClass::kMutation;
+  for (int i = 0; i < 4; ++i) tally.Sent(topk);
+
+  OpOutcome covered;
+  covered.entries = 5;
+  tally.Record(topk, covered);
+  OpOutcome short_hit;
+  short_hit.entries = 4;
+  short_hit.cache_hit = true;
+  tally.Record(topk, short_hit);
+  OpOutcome rejected;
+  rejected.code = StatusCode::kResourceExhausted;
+  tally.Record(topk, rejected);
+  OpOutcome expired;
+  expired.code = StatusCode::kDeadlineExceeded;
+  tally.Record(topk, expired);
+  OpOutcome failed;
+  failed.code = StatusCode::kInternal;
+  tally.Record(full, failed);
+  tally.Record(mutation, OpOutcome{});
+
+  const WorkloadReport report = tally.Report(/*wall_seconds=*/2.0);
+  const OpStats& t = report.classes[static_cast<std::size_t>(OpClass::kTopK)];
+  EXPECT_EQ(t.sent, 4u);
+  EXPECT_EQ(t.ok, 2u);
+  EXPECT_EQ(t.certified, 1u);
+  EXPECT_EQ(t.cache_hits, 1u);
+  EXPECT_EQ(t.rejected, 1u);
+  EXPECT_EQ(t.deadline_exceeded, 1u);
+  EXPECT_EQ(t.latency.count, 2u);
+  EXPECT_EQ(report.tenants[1][static_cast<std::size_t>(OpClass::kTopK)].ok,
+            2u);
+  EXPECT_EQ(report.classes[static_cast<std::size_t>(OpClass::kFull)].errors,
+            1u);
+  EXPECT_EQ(report.TotalErrors(), 1u);
+  // Only the top-k answer that was neither a hit nor coalesced consumed a
+  // worker; the mutation never counts.
+  EXPECT_EQ(report.computed_ok, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(report.tenant_names, (std::vector<std::string>{"a", "b"}));
+  EXPECT_DOUBLE_EQ(report.wall_seconds, 2.0);
+}
+
 }  // namespace
 }  // namespace resacc

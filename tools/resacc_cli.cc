@@ -31,6 +31,7 @@
 #include "resacc/graph/datasets.h"
 #include "resacc/graph/generators.h"
 #include "resacc/graph/graph_io.h"
+#include "resacc/graph/graph_snapshot.h"
 #include "resacc/graph/graph_stats.h"
 #include "resacc/nise/nise.h"
 #include "resacc/obs/trace.h"
@@ -364,8 +365,9 @@ int main(int argc, char** argv) {
   }
   const StatusOr<Graph> graph =
       LoadGraphAuto(args.positionals()[1], args.HasFlag("undirected"));
-  if (!graph.ok()) {
-    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
+  const Status valid = graph.ok() ? ValidateCsr(graph.value()) : graph.status();
+  if (!valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
     return 1;
   }
 

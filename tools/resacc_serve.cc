@@ -18,8 +18,13 @@
 // `tenant=<name>` token (below). Unknown or absent tenants ride the
 // implicit weight-1 default lane.
 //
+// The graph's CSR is checked in O(n + m) right after loading (ValidateCsr,
+// graph_snapshot.h); a corrupt graph exits 1 before `ready` instead of
+// crashing the first query that reads it.
+//
 // Protocol (one request per line on stdin, one response line on stdout,
-// responses in request order):
+// responses in request order; serve/protocol.h parses and formats every
+// line, this file only wires the process):
 //   query <source> [top-k]  ->  ok <source> hit=0|1 coalesced=0|1
 //                                degraded=0|1 stale=0|1 eps=<achieved>
 //                                us=<latency> top <node>:<score> ...
@@ -79,204 +84,43 @@
 // pipelining client keeps every worker busy through a plain pipe and a
 // stop-and-wait client still gets each answer immediately.
 
-#include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <future>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "resacc/graph/dynamic/mutable_graph_view.h"
 #include "resacc/graph/graph_io.h"
 #include "resacc/graph/graph_snapshot.h"
 #include "resacc/obs/metrics_registry.h"
 #include "resacc/obs/stats_reporter.h"
+#include "resacc/serve/protocol.h"
 #include "resacc/serve/query_service.h"
 #include "resacc/util/args.h"
 #include "resacc/util/bounded_queue.h"
 #include "resacc/util/timer.h"
-#include "resacc/util/top_k.h"
 
 namespace {
 
 using namespace resacc;
+using protocol::Verb;
 
-// One stdout line: a query response waiting on its future, an
-// already-formatted line (info/err/bye), or a deferred stats snapshot. A
-// single writer thread consumes these in submission order, which is what
-// lets clients correlate responses by position — and what makes a `stats`
-// line reflect every query answered before it.
+// One stdout line, or the metrics frame: the answer to a query or topk
+// request waiting on its future, a deferred stats or metrics snapshot, or
+// an already-formatted line (any other verb, or an err). A single writer
+// thread consumes these in submission order, which is what lets clients
+// correlate responses by position — and what makes a `stats` line reflect
+// every query answered before it.
 struct OutputItem {
-  enum class Kind { kResponse, kLiteral, kStats, kMetrics };
-  Kind kind = Kind::kLiteral;
-  NodeId source = 0;
-  // `query` verb: how many pairs to format from the full vector.
-  // `topk` verb (topk_mode): the response carries the entries itself.
-  std::size_t top_k = 0;
-  bool topk_mode = false;
+  protocol::Request request;
   std::future<QueryResponse> future;
   std::string literal;
 };
-
-// Longest request line accepted, newline excluded. A longer line is still
-// read to its end and answered with exactly one err line, so responses stay
-// aligned with requests.
-constexpr std::size_t kMaxLineBytes = 4096;
-
-// Reads the next whole line of `in` into `line`, without its newline.
-// Returns false at end of input. Sets `*too_long` when the line exceeds
-// kMaxLineBytes; `line` then holds no more than its first kMaxLineBytes.
-bool ReadLine(std::FILE* in, std::string& line, bool* too_long) {
-  line.clear();
-  *too_long = false;
-  char chunk[512];
-  bool read_any = false;
-  while (std::fgets(chunk, sizeof(chunk), in) != nullptr) {
-    read_any = true;
-    std::size_t length = std::strlen(chunk);
-    const bool complete = length > 0 && chunk[length - 1] == '\n';
-    if (complete) --length;
-    if (*too_long || line.size() + length > kMaxLineBytes) {
-      *too_long = true;
-    } else {
-      line.append(chunk, length);
-    }
-    if (complete) break;
-  }
-  return read_any;
-}
-
-// A request line split at whitespace.
-std::vector<std::string_view> SplitTokens(const char* line) {
-  std::vector<std::string_view> tokens;
-  const char* p = line;
-  while (*p != '\0') {
-    while (*p == ' ' || *p == '\t' || *p == '\r' || *p == '\n') ++p;
-    const char* begin = p;
-    while (*p != '\0' && *p != ' ' && *p != '\t' && *p != '\r' &&
-           *p != '\n') {
-      ++p;
-    }
-    if (p != begin) {
-      tokens.emplace_back(begin, static_cast<std::size_t>(p - begin));
-    }
-  }
-  return tokens;
-}
-
-// An unsigned decimal below 2^32, the whole token: no sign, no suffix, and
-// no silent truncation of a wider value.
-bool ParseU32(std::string_view token, std::uint32_t* value) {
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, *value);
-  return ec == std::errc() && ptr == end;
-}
-
-// A parsed `query` / `topk` line: `<verb> <source> [count] [key=value
-// ...]`. The trailing tokens (tenant=, deadline_ms=, degraded=) are
-// order-independent; unknown words are ignored so the verb grammar stays
-// forward-compatible.
-struct RequestLine {
-  NodeId source = 0;
-  std::uint32_t count = 10;
-  std::string tenant;
-  double deadline_seconds = 0.0;
-  bool allow_degraded = false;
-
-  // The service request (top_k left 0); `server_allows_degraded` is the
-  // --allow-degraded flag.
-  QueryRequest ToRequest(bool server_allows_degraded) const {
-    QueryRequest request;
-    request.source = source;
-    request.deadline_seconds = deadline_seconds;
-    request.allow_degraded = server_allows_degraded || allow_degraded;
-    request.tenant = tenant;
-    return request;
-  }
-};
-
-// The count (default 10) is the token after the source unless that token
-// is a key=value word. False when the source or count is not a 32-bit unsigned
-// decimal or a known key has a bad value.
-bool ParseRequestLine(std::span<const std::string_view> tokens,
-                      RequestLine* request) {
-  if (tokens.size() < 2 || !ParseU32(tokens[1], &request->source)) {
-    return false;
-  }
-  std::size_t next = 2;
-  if (next < tokens.size() &&
-      tokens[next].find('=') == std::string_view::npos) {
-    if (!ParseU32(tokens[next], &request->count)) return false;
-    ++next;
-  }
-  for (const std::string_view token : tokens.subspan(next)) {
-    if (token.starts_with("tenant=")) {
-      request->tenant = std::string(token.substr(7));
-    } else if (token.starts_with("deadline_ms=")) {
-      const std::string value(token.substr(12));
-      char* end = nullptr;
-      const double ms = std::strtod(value.c_str(), &end);
-      if (value.empty() || *end != '\0' || !std::isfinite(ms) || ms < 0.0) {
-        return false;
-      }
-      request->deadline_seconds = ms / 1e3;
-    } else if (token == "degraded=1" || token == "degraded=0") {
-      request->allow_degraded = token.back() == '1';
-    } else if (token.starts_with("degraded=")) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void PrintResponse(NodeId source, std::size_t top_k,
-                   const QueryResponse& response) {
-  if (!response.status.ok()) {
-    std::printf("err %s\n", response.status.ToString().c_str());
-    return;
-  }
-  std::printf("ok %u hit=%d coalesced=%d degraded=%d stale=%d eps=%.3g "
-              "us=%.0f top",
-              source, response.cache_hit ? 1 : 0, response.coalesced ? 1 : 0,
-              response.degraded ? 1 : 0, response.stale ? 1 : 0,
-              response.achieved_epsilon, response.latency_seconds * 1e6);
-  if (response.scores != nullptr) {
-    for (const auto& [node, score] : TopKPairs(*response.scores, top_k)) {
-      std::printf(" %u:%.6e", node, score);
-    }
-  }
-  std::printf("\n");
-}
-
-void PrintTopKResponse(NodeId source, const QueryResponse& response) {
-  if (!response.status.ok() || response.topk == nullptr) {
-    std::printf("err %s\n", response.status.ok()
-                                ? "top-k response missing payload"
-                                : response.status.ToString().c_str());
-    return;
-  }
-  const TopKResult& tk = *response.topk;
-  std::printf("ok %u hit=%d coalesced=%d degraded=%d stale=%d certified=%d "
-              "k=%zu eps=%.3g gap=%.3e us=%.0f top",
-              source, response.cache_hit ? 1 : 0, response.coalesced ? 1 : 0,
-              response.degraded ? 1 : 0, response.stale ? 1 : 0,
-              tk.certified ? 1 : 0, tk.k, response.achieved_epsilon,
-              tk.bound_gap, response.latency_seconds * 1e6);
-  for (const TopKEntry& entry : tk.entries) {
-    std::printf(" %u:%.6e:%.6e:%.6e", entry.node, entry.estimate, entry.lower,
-                entry.upper);
-  }
-  std::printf("\n");
-}
 
 }  // namespace
 
@@ -304,8 +148,13 @@ int main(int argc, char** argv) {
       snapshot ? LoadSnapshot(path, SnapshotLoadOptions{}, &load_info)
                : LoadGraphAuto(path, args.HasFlag("undirected"));
   const double load_seconds = load_timer.ElapsedSeconds();
-  if (!graph.ok()) {
-    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
+  // The snapshot load read only the header and the offset anchors; a
+  // corrupt edge section would otherwise crash the first query to reach it.
+  Timer check_timer;
+  const Status valid = graph.ok() ? ValidateCsr(graph.value()) : graph.status();
+  const double check_seconds = check_timer.ElapsedSeconds();
+  if (!valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
     return 1;
   }
   MetricsRegistry::Global()
@@ -321,8 +170,9 @@ int main(int argc, char** argv) {
       "Compaction generation of the serving graph's base CSR");
   generation_gauge.Set(static_cast<double>(load_info.generation));
   std::fprintf(stderr,
-               "[serve] graph loaded in %.3fs (resident=%zu bytes, mmap=%d)\n",
-               load_seconds, graph.value().MemoryBytes(),
+               "[serve] graph loaded in %.3fs, CSR checked in %.3fms "
+               "(resident=%zu bytes, mmap=%d)\n",
+               load_seconds, check_seconds * 1e3, graph.value().MemoryBytes(),
                load_info.mmap_used ? 1 : 0);
   if (snapshot) {
     std::fprintf(stderr, "[serve] snapshot header: format=RESACC%02u "
@@ -455,26 +305,32 @@ int main(int argc, char** argv) {
 
   BoundedQueue<OutputItem> output(window > 0 ? window : 1);
   std::thread writer([&output, &service] {
+    const auto put_line = [](std::string_view line) {
+      std::fwrite(line.data(), 1, line.size(), stdout);
+      std::fputc('\n', stdout);
+    };
     OutputItem item;
     while (output.Pop(item)) {
-      switch (item.kind) {
-        case OutputItem::Kind::kLiteral:
-          std::printf("%s\n", item.literal.c_str());
+      const protocol::Request& request = item.request;
+      switch (request.verb) {
+        case Verb::kQuery:
+          put_line(protocol::FormatQueryAnswer(request.source, request.count,
+                                               item.future.get()));
           break;
-        case OutputItem::Kind::kResponse:
-          if (item.topk_mode) {
-            PrintTopKResponse(item.source, item.future.get());
-          } else {
-            PrintResponse(item.source, item.top_k, item.future.get());
-          }
+        case Verb::kTopK:
+          put_line(
+              protocol::FormatTopKAnswer(request.source, item.future.get()));
           break;
-        case OutputItem::Kind::kStats:
-          std::printf("stats %s\n", service.Snapshot().ToLine().c_str());
+        case Verb::kStats:
+          put_line(protocol::FormatStats(service.Snapshot()));
           break;
-        case OutputItem::Kind::kMetrics:
+        case Verb::kMetrics:
           // Multi-line frame; `# EOF` tells the client the scrape is done.
           std::fputs(service.metrics().RenderPrometheus().c_str(), stdout);
-          std::printf("# EOF\n");
+          put_line(protocol::kMetricsEnd);
+          break;
+        default:
+          put_line(item.literal);
           break;
       }
       std::fflush(stdout);
@@ -483,122 +339,87 @@ int main(int argc, char** argv) {
 
   auto emit_literal = [&output](std::string text) {
     OutputItem item;
-    item.kind = OutputItem::Kind::kLiteral;
     item.literal = std::move(text);
     output.Push(std::move(item));
   };
 
+  // One byte past the cap is kept, so ParseRequest sees a longer line.
   std::string line;
-  bool too_long = false;
   bool quit = false;
-  while (!quit && ReadLine(stdin, line, &too_long)) {
-    if (too_long) {
-      emit_literal("err line longer than " + std::to_string(kMaxLineBytes) +
-                   " bytes");
+  while (!quit &&
+         protocol::ReadLine(stdin, &line, protocol::kMaxRequestBytes + 1)) {
+    StatusOr<protocol::Request> parsed = protocol::ParseRequest(line);
+    if (!parsed.ok()) {
+      emit_literal(protocol::FormatError(parsed.status().message()));
       continue;
     }
-    const std::vector<std::string_view> tokens = SplitTokens(line.c_str());
-    if (tokens.empty()) continue;
-    const std::string_view command = tokens[0];
-
-    if (command == "query") {
-      RequestLine parsed;
-      if (!ParseRequestLine(tokens, &parsed)) {
-        emit_literal("err malformed query line");
-        continue;
+    protocol::Request& request = parsed.value();
+    switch (request.verb) {
+      case Verb::kNone:
+        break;
+      case Verb::kQuery:
+      case Verb::kTopK:
+      case Verb::kStats:
+      case Verb::kMetrics: {
+        // A `query` is a full solve whose printed top list is cut from the
+        // full vector; a `topk` runs the solver's top-k mode.
+        OutputItem item;
+        if (request.verb == Verb::kQuery || request.verb == Verb::kTopK) {
+          item.future = service.Submit(request.ToQueryRequest(allow_degraded));
+        }
+        item.request = std::move(request);
+        output.Push(std::move(item));  // blocks once `window` are in flight
+        break;
       }
-      // Full-solve semantics: top_k stays 0 on the request (top-k mode is
-      // the `topk` verb); the printed top list is cut client-side.
-      const QueryRequest request = parsed.ToRequest(allow_degraded);
-      OutputItem item;
-      item.kind = OutputItem::Kind::kResponse;
-      item.source = request.source;
-      item.top_k = parsed.count;
-      item.future = service.Submit(request);
-      output.Push(std::move(item));  // blocks once `window` are in flight
-    } else if (command == "topk") {
-      RequestLine parsed;
-      if (!ParseRequestLine(tokens, &parsed) || parsed.count == 0) {
-        emit_literal("err malformed topk line");
-        continue;
+      case Verb::kInfo: {
+        const Graph live = view->Snapshot();
+        const MutableGraphStats graph_stats = view->stats();
+        emit_literal(protocol::FormatInfo(
+            live.num_nodes(), live.num_edges(), service.num_workers(),
+            graph_stats.epoch, graph_stats.generation,
+            graph_stats.overlay_rows));
+        break;
       }
-      QueryRequest request = parsed.ToRequest(allow_degraded);
-      request.top_k = parsed.count;
-      OutputItem item;
-      item.kind = OutputItem::Kind::kResponse;
-      item.source = request.source;
-      item.topk_mode = true;
-      item.future = service.Submit(request);
-      output.Push(std::move(item));
-    } else if (command == "info") {
-      const Graph live = view->Snapshot();
-      const MutableGraphStats graph_stats = view->stats();
-      char buf[192];
-      std::snprintf(buf, sizeof(buf),
-                    "info nodes=%u edges=%llu workers=%zu epoch=%llu "
-                    "gen=%llu overlay=%zu",
-                    live.num_nodes(),
-                    static_cast<unsigned long long>(live.num_edges()),
-                    service.num_workers(),
-                    static_cast<unsigned long long>(graph_stats.epoch),
-                    static_cast<unsigned long long>(graph_stats.generation),
-                    graph_stats.overlay_rows);
-      emit_literal(buf);
-    } else if (command == "addedge" || command == "rmedge") {
-      NodeId u = 0;
-      NodeId v = 0;
-      if (tokens.size() < 3 || !ParseU32(tokens[1], &u) ||
-          !ParseU32(tokens[2], &v)) {
-        emit_literal("err malformed mutation line");
-        continue;
+      case Verb::kAddEdge:
+      case Verb::kRmEdge: {
+        const bool remove = request.verb == Verb::kRmEdge;
+        const NodeId u = request.source;
+        const NodeId v = request.target;
+        GraphDelta delta;
+        const Status status = remove ? view->RemoveEdge(u, v, &delta)
+                                     : view->AddEdge(u, v, &delta);
+        if (!status.ok() && status.code() != StatusCode::kAlreadyExists &&
+            status.code() != StatusCode::kNotFound) {
+          emit_literal(protocol::FormatError(status.ToString()));
+          break;
+        }
+        // A no-op mutation (duplicate add / missing remove) publishes no
+        // epoch and needs no service update.
+        if (status.ok()) service.UpdateGraph(view->Snapshot(), delta);
+        emit_literal(protocol::FormatEdgeAnswer(remove, u, v, status.ok(),
+                                                view->epoch()));
+        break;
       }
-      const bool remove = command == "rmedge";
-      GraphDelta delta;
-      const Status status = remove ? view->RemoveEdge(u, v, &delta)
-                                   : view->AddEdge(u, v, &delta);
-      if (!status.ok() && status.code() != StatusCode::kAlreadyExists &&
-          status.code() != StatusCode::kNotFound) {
-        emit_literal("err " + status.ToString());
-        continue;
+      case Verb::kAddNode: {
+        GraphDelta delta;
+        const NodeId id = view->AddNode(&delta);
+        service.UpdateGraph(view->Snapshot(), delta);
+        emit_literal(protocol::FormatAddNodeAnswer(id, view->epoch()));
+        break;
       }
-      // A no-op mutation (duplicate add / missing remove) publishes no
-      // epoch and needs no service update.
-      if (status.ok()) service.UpdateGraph(view->Snapshot(), delta);
-      char buf[128];
-      std::snprintf(buf, sizeof(buf), "ok %s %u %u applied=%d epoch=%llu",
-                    remove ? "rmedge" : "addedge", u, v, status.ok() ? 1 : 0,
-                    static_cast<unsigned long long>(view->epoch()));
-      emit_literal(buf);
-    } else if (command == "addnode") {
-      GraphDelta delta;
-      const NodeId id = view->AddNode(&delta);
-      service.UpdateGraph(view->Snapshot(), delta);
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), "ok addnode %u epoch=%llu", id,
-                    static_cast<unsigned long long>(view->epoch()));
-      emit_literal(buf);
-    } else if (command == "compact") {
-      // The compaction callback re-points the service and the gauge; this
-      // verb just reports what the fold did.
-      const CompactionInfo compaction = view->Compact();
-      char buf[128];
-      std::snprintf(buf, sizeof(buf), "ok compact gen=%llu folded=%zu ms=%.1f",
-                    static_cast<unsigned long long>(compaction.generation),
-                    compaction.folded_rows, compaction.seconds * 1e3);
-      emit_literal(buf);
-    } else if (command == "stats") {
-      OutputItem item;
-      item.kind = OutputItem::Kind::kStats;
-      output.Push(std::move(item));
-    } else if (command == "metrics") {
-      OutputItem item;
-      item.kind = OutputItem::Kind::kMetrics;
-      output.Push(std::move(item));
-    } else if (command == "quit") {
-      emit_literal("bye");
-      quit = true;
-    } else {
-      emit_literal("err unknown command '" + std::string(command) + "'");
+      case Verb::kCompact: {
+        // The compaction callback re-points the service and the gauge; this
+        // verb just reports what the fold did.
+        const CompactionInfo compaction = view->Compact();
+        emit_literal(protocol::FormatCompactAnswer(compaction.generation,
+                                                   compaction.folded_rows,
+                                                   compaction.seconds));
+        break;
+      }
+      case Verb::kQuit:
+        emit_literal(std::string(protocol::kBye));
+        quit = true;
+        break;
     }
   }
 
