@@ -1,31 +1,11 @@
 #include "resacc/core/h_hop_fwd.h"
 
 #include <cmath>
+#include <vector>
 
-#include "resacc/core/frontier.h"
 #include "resacc/util/check.h"
 
 namespace resacc {
-namespace {
-
-// Eligibility for pushing during the accumulating phase: the source is
-// excluded when loop accumulation is on (its residue accumulates instead),
-// and nodes beyond the h-hop set are excluded when the subgraph restriction
-// is on (they form the frontier whose residue accumulates for OMFWD).
-struct Eligibility {
-  const HopLayers* layers;  // null when the subgraph restriction is off
-  std::uint32_t num_hops;
-  NodeId source;
-  bool exclude_source;
-
-  bool CanPush(NodeId v) const {
-    if (exclude_source && v == source) return false;
-    if (layers != nullptr && !layers->InHopSet(v, num_hops)) return false;
-    return true;
-  }
-};
-
-}  // namespace
 
 HHopFwdStats RunHHopFwd(const Graph& graph, const RwrConfig& config,
                         NodeId source, const HHopFwdOptions& options,
@@ -89,58 +69,47 @@ HHopFwdStats RunHHopFwd(const Graph& graph, const RwrConfig& config,
     return stats;
   }
 
-  const Eligibility eligible{
-      options.use_hop_subgraph ? layers : nullptr, effective_hops, source,
-      /*exclude_source=*/options.use_loop_accumulation};
+  // Eligibility for pushing during the accumulating phase: the source is
+  // excluded when loop accumulation is on (its residue accumulates
+  // instead), and nodes beyond the h-hop set are excluded when the subgraph
+  // restriction is on (they form the frontier whose residue accumulates
+  // for OMFWD).
+  PushScope scope;
+  if (options.use_hop_subgraph) {
+    scope.hop_set = layers;
+    scope.num_hops = effective_hops;
+  }
+  if (options.use_loop_accumulation) scope.excluded = source;
 
   // Accumulating phase (Algorithm 3 lines 1-7): the very first push at s,
   // then exhaust the push condition over eligible nodes.
   state.SetResidue(source, 1.0);
   ForwardPushAt(graph, config, source, source, state, stats.push);
 
-  // Shared round-based work list (frontier.h): the source's neighbours
-  // (plus the source itself, without loop accumulation) seed round 0 in
-  // CSR order; eligibility is enforced at scheduling time, so a scheduled
-  // node is always inside the hop set (and never the excluded source).
-  Frontier frontier(graph.num_nodes());
-  auto try_schedule = [&](NodeId v) {
-    if (eligible.CanPush(v) &&
-        SatisfiesPushCondition(graph, state, v, options.r_max_hop)) {
-      frontier.Schedule(v);
-    }
-  };
+  // The source's eligible neighbours that meet the condition (plus the
+  // source itself, without loop accumulation) seed round 0 in CSR order;
+  // the shared round loop (forward_push.h) screens eligibility at every
+  // later promotion, so a pushed node is always inside the hop set.
+  std::vector<NodeId> seeds;
   for (NodeId v : graph.OutNeighbors(source)) {
-    if (eligible.CanPush(v) &&
+    if (scope.Admits(v) &&
         SatisfiesPushCondition(graph, state, v, options.r_max_hop)) {
-      frontier.Seed(v);
+      seeds.push_back(v);
     }
   }
   if (!options.use_loop_accumulation &&
       SatisfiesPushCondition(graph, state, source, options.r_max_hop)) {
-    frontier.Seed(source);
+    seeds.push_back(source);
   }
-
-  std::uint64_t pops = 0;
-  bool stopped = false;
-  NodeId node;
-  while (frontier.Next(&node)) {
-    if (options.cancel != nullptr && (++pops % 512) == 0 &&
-        options.cancel->ShouldStop()) {
-      stopped = true;
-      break;
-    }
-    if (!SatisfiesPushCondition(graph, state, node, options.r_max_hop)) {
-      continue;
-    }
-    ForwardPushAt(graph, config, source, node, state, stats.push);
-    for (NodeId v : graph.OutNeighbors(node)) try_schedule(v);
-    if (config.dangling == DanglingPolicy::kBackToSource) try_schedule(source);
-  }
+  const bool finished = RunPushRounds(
+      graph, config, source, options.r_max_hop, seeds,
+      /*push_seeds_unconditionally=*/false, scope, state, options.cancel,
+      /*round_hook=*/nullptr, stats.push);
 
   // Cancelled mid-phase: the updating phase extrapolates T completed
   // accumulating phases, which a truncated phase is not — skip it and
   // leave the mass-conserving partial state for the caller to report.
-  if (stopped || !options.use_loop_accumulation) return stats;
+  if (!finished || !options.use_loop_accumulation) return stats;
 
   // Updating phase (Algorithm 3 lines 8-18): extrapolate the remaining
   // accumulating phases in O(touched).

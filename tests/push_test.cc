@@ -39,74 +39,93 @@ TEST(PushStateTest, TouchTrackingAndReset) {
   EXPECT_DOUBLE_EQ(state.reserve(1), 0.0);
 }
 
+// Admits every marked node.
+bool AnyNode(NodeId) { return true; }
+
 // Pops the rest of the current round plus every later round.
 std::vector<NodeId> DrainFrontier(Frontier& frontier) {
   std::vector<NodeId> popped;
   NodeId v;
-  while (frontier.Next(&v)) popped.push_back(v);
+  while (frontier.Next(&v, AnyNode)) popped.push_back(v);
   return popped;
 }
 
-// Rounds >= 1 pop in ascending id whatever order they were scheduled in,
-// and a node popped in round k and scheduled again lands in round k+1.
-TEST(FrontierTest, DescendingSchedulesPopAscendingRoundByRound) {
+// Rounds >= 1 pop in ascending id whatever order their nodes were marked
+// in; a node marked twice joins once, and a node popped in round k and
+// marked again lands in round k+1.
+TEST(FrontierTest, DescendingMarksPopAscendingRoundByRound) {
   constexpr NodeId kNodes = 4096;
   Frontier frontier(kNodes);
   frontier.Seed(kNodes - 1);
   NodeId v;
-  ASSERT_TRUE(frontier.Next(&v));
+  ASSERT_TRUE(frontier.Next(&v, AnyNode));
   EXPECT_EQ(frontier.round(), 0u);
-  const auto schedule_descending = [&](NodeId first, NodeId count,
-                                       NodeId stride) {
+  const auto mark_descending = [&](NodeId first, NodeId count,
+                                   NodeId stride) {
     std::vector<NodeId> ids;
     for (NodeId i = count; i > 0; --i) {
       ids.push_back(first + (i - 1) * stride);
-      EXPECT_TRUE(frontier.Schedule(ids.back()));
+      frontier.Mark(ids.back());
     }
-    EXPECT_FALSE(frontier.Schedule(ids.back()));  // already staged
+    frontier.Mark(ids.back());  // marked twice, promoted once
     std::sort(ids.begin(), ids.end());
     return ids;
   };
 
-  const std::vector<NodeId> round1 = schedule_descending(1, 64, 63);
+  const std::vector<NodeId> round1 = mark_descending(1, 64, 63);
   std::vector<NodeId> round2;
   std::vector<NodeId> popped;
   for (std::size_t i = 0; i < round1.size(); ++i) {
-    ASSERT_TRUE(frontier.Next(&v));
+    ASSERT_TRUE(frontier.Next(&v, AnyNode));
     EXPECT_EQ(frontier.round(), 1u);
     popped.push_back(v);
-    // Node 1 just popped; scheduling it again is legal.
-    if (i == 0) round2 = schedule_descending(1, 3, 2000);
+    // Node 1 just popped; marking it again puts it in round 2.
+    if (i == 0) round2 = mark_descending(1, 3, 2000);
   }
   EXPECT_EQ(popped, round1);
   EXPECT_EQ(DrainFrontier(frontier), round2);
   EXPECT_EQ(frontier.round(), 2u);
 }
 
-TEST(FrontierTest, ClearAfterEarlyStopLeavesReusableInstance) {
+// Promotion screens each marked node once with the caller's predicate: a
+// node that fails is dropped until it is marked again, a mark set on a
+// node still pending in the current round is cleared when it pops, and
+// duplicate seeds run once in caller order.
+TEST(FrontierTest, PromotionScreensMarkedNodesOnce) {
   Frontier frontier(256);
   frontier.Seed(5);
   frontier.Seed(3);
+  frontier.Seed(5);
+  std::vector<NodeId> screened;
+  bool admit_odd_only = true;
+  const auto qualifies = [&](NodeId u) {
+    screened.push_back(u);
+    return !admit_odd_only || u % 2 == 1;
+  };
   NodeId v;
-  ASSERT_TRUE(frontier.Next(&v));
+  ASSERT_TRUE(frontier.Next(&v, qualifies));
   EXPECT_EQ(v, 5u);
-  frontier.Schedule(200);
-  frontier.Schedule(100);
-  frontier.Schedule(7);
-  // Stop with seed 3 still pending and three nodes staged.
-  frontier.Clear();
-  EXPECT_EQ(frontier.round(), 0u);
-  EXPECT_FALSE(frontier.Next(&v));
-
-  // Nothing is left scheduled: every node can be seeded or staged anew,
-  // and the next round holds exactly the new ones.
-  frontier.Seed(3);
-  ASSERT_TRUE(frontier.Next(&v));
+  frontier.Mark(3);  // still pending in round 0: its pop clears the mark
+  frontier.Mark(200);
+  frontier.Mark(7);
+  frontier.Mark(64);
+  ASSERT_TRUE(frontier.Next(&v, qualifies));
   EXPECT_EQ(v, 3u);
-  EXPECT_TRUE(frontier.Schedule(200));
-  EXPECT_TRUE(frontier.Schedule(7));
-  EXPECT_EQ(DrainFrontier(frontier), (std::vector<NodeId>{7, 200}));
+  EXPECT_TRUE(screened.empty());  // seeds are never screened
+
+  // The boundary screens 7, 64 and 200 once each and keeps the odd one.
+  ASSERT_TRUE(frontier.Next(&v, qualifies));
+  EXPECT_EQ(v, 7u);
   EXPECT_EQ(frontier.round(), 1u);
+  EXPECT_EQ(screened, (std::vector<NodeId>{7, 64, 200}));
+
+  // 64 and 200 failed and lost their marks; only a new mark brings one
+  // back.
+  admit_odd_only = false;
+  screened.clear();
+  frontier.Mark(200);
+  EXPECT_EQ(DrainFrontier(frontier), (std::vector<NodeId>{200}));
+  EXPECT_EQ(frontier.round(), 2u);
 }
 
 // Reproduces Figure 1(b): push sequence v1, v2, v3, v2 without residue
