@@ -64,14 +64,18 @@ class ProtocolClient {
   FILE* from_server_ = nullptr;
 };
 
-// Replays the spec as one deterministic merged stream (MergedOpStream)
-// over an already-handshaken client with `window` ops pipelined, for
+// Replays the spec over an already-handshaken client for
 // spec.duration_seconds of wall time, and fills `report` (all but its
 // spec_origin) through the same WorkloadTally as the in-process driver.
-// Latencies are client-observed wall times; the queue-wait/compute split
-// is unavailable through the pipe; a line that is neither `ok` nor `err`
-// counts as an error. kInternal when the server closes mid-run. Used by
-// bench_workload --serve-cmd and loadgen.
+// Open-loop tenants are paced as WorkloadDriver paces them: op i of a
+// tenant with `rate` goes out no earlier than start + i / rate. The
+// closed-loop tenants form one deterministic merged stream
+// (MergedOpStream) with `window` ops pipelined. A reader thread settles
+// answers while the sender waits. Latencies are client-observed wall
+// times; the queue-wait/compute split is unavailable through the pipe; a
+// line that is neither `ok` nor `err` counts as an error. kInternal when
+// the server closes mid-run. Used by bench_workload --serve-cmd and
+// loadgen.
 Status RunProtocolWorkload(const WorkloadSpec& spec, ProtocolClient& client,
                            NodeId num_nodes, std::size_t window,
                            WorkloadReport* report);

@@ -6,9 +6,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "resacc/graph/graph_builder.h"
 #include "resacc/graph/graph_io.h"
 #include "resacc/graph/graph_snapshot.h"
+#include "resacc/util/rng.h"
 #include "tests/test_graphs.h"
 
 namespace resacc {
@@ -333,6 +337,114 @@ TEST(SnapshotTest, ValidateCsrRejectsCorruptSections) {
   WriteAt(path, SectionOffset(path, 0) + 10 * sizeof(EdgeId),
           std::vector<EdgeId>{graph.num_edges()});
   expect_rejected("offsets not monotone");
+  std::remove(path.c_str());
+}
+
+std::string ReadFile(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(file, nullptr);
+  std::string contents;
+  char chunk[4096];
+  std::size_t got;
+  while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
+    contents.append(chunk, got);
+  }
+  std::fclose(file);
+  return contents;
+}
+
+// Deterministic fuzz of .rsg bytes, in workload_spec_test's idiom: 500
+// mutants of a small valid snapshot, each with 1-4 edits (a byte, a bit,
+// an 8-byte word set to a boundary value, or a truncation), half of them
+// in the 128-byte header. Half the mutants get their header checksum
+// recomputed, so the field checks behind it run too. Every mutant either
+// fails LoadSnapshot or ValidateCsr with a status, or passes both and
+// answers a ResAccSolver query with finite, non-negative scores.
+TEST(SnapshotTest, FuzzedSnapshotsFailCleanlyOrAnswer) {
+  const Graph graph = ChungLuPowerLaw(200, 1200, 2.2, /*seed=*/9);
+  const std::string path = TempPath("fuzz.rsg");
+  ASSERT_TRUE(SaveSnapshot(graph, path).ok());
+  const std::string base = ReadFile(path);
+  constexpr std::size_t kHeader = 128;
+  constexpr std::size_t kChecksumAt = 120;
+  ASSERT_GT(base.size(), kHeader);
+  const std::uint64_t n = graph.num_nodes();
+  const std::uint64_t m = graph.num_edges();
+  const std::uint64_t boundary[] = {0,     1,     n - 1,      n,
+                                    n + 1, m,     m + 1,      0x7FFFFF00,
+                                    ~0u,   ~0ull, 1ull << 62, 64};
+
+  Rng rng(0x25a);
+  int answered = 0;
+  for (int iter = 0; iter < 500; ++iter) {
+    std::string bytes = base;
+    const int edits = 1 + static_cast<int>(rng.NextBounded(4));
+    for (int e = 0; e < edits && !bytes.empty(); ++e) {
+      const std::size_t span =
+          rng.NextBounded(2) == 0 ? std::min(kHeader, bytes.size())
+                                  : bytes.size();
+      const std::size_t pos = rng.NextBounded(span);
+      switch (rng.NextBounded(8)) {
+        case 0:
+        case 1:
+        case 2:
+          bytes[pos] = static_cast<char>(rng.NextBounded(256));
+          break;
+        case 3:
+        case 4:
+          bytes[pos] =
+              static_cast<char>(bytes[pos] ^ (1 << rng.NextBounded(8)));
+          break;
+        case 5:
+        case 6: {
+          const std::size_t at = pos / 8 * 8;
+          if (at + 8 > bytes.size()) break;
+          const std::uint64_t value =
+              boundary[rng.NextBounded(std::size(boundary))];
+          std::memcpy(bytes.data() + at, &value, sizeof(value));
+          break;
+        }
+        default:
+          bytes.resize(pos);
+          break;
+      }
+    }
+    if (bytes.size() >= kHeader && rng.NextBounded(2) == 0) {
+      const std::uint64_t checksum =
+          SnapshotChecksum(bytes.data(), kChecksumAt);
+      std::memcpy(bytes.data() + kChecksumAt, &checksum, sizeof(checksum));
+    }
+    WriteFile(path, bytes);
+
+    const StatusOr<Graph> loaded = LoadSnapshot(path);
+    if (!loaded.ok()) {
+      EXPECT_TRUE(loaded.status().code() == StatusCode::kInvalidArgument ||
+                  loaded.status().code() == StatusCode::kOutOfRange)
+          << loaded.status().ToString();
+      continue;
+    }
+    const Graph& g = loaded.value();
+    const Status valid = ValidateCsr(g);
+    if (!valid.ok()) {
+      EXPECT_EQ(valid.code(), StatusCode::kInvalidArgument)
+          << valid.ToString();
+      continue;
+    }
+    if (g.num_nodes() == 0) continue;
+    RwrConfig config = RwrConfig::ForGraphSize(g.num_nodes());
+    config.dangling = DanglingPolicy::kAbsorb;
+    ResAccSolver solver(g, config, ResAccOptions{});
+    const std::vector<Score> scores =
+        solver.Query(static_cast<NodeId>(iter % g.num_nodes()));
+    ASSERT_EQ(scores.size(), g.num_nodes());
+    for (Score score : scores) {
+      ASSERT_TRUE(std::isfinite(score) && score >= 0.0) << "iter " << iter;
+    }
+    ++answered;
+  }
+  // Edits that miss every checked byte (padding, a re-signed no-op, an id
+  // moved to another valid id in in_sources) leave answerable graphs.
+  EXPECT_GT(answered, 0);
   std::remove(path.c_str());
 }
 

@@ -8,8 +8,9 @@
 //           [--chaos] [--chaos-prob=P] [--chaos-seed=S]
 //
 // The spec (docs/WORKLOADS.md) declares tenants, their class mixes and
-// their offered load; its tenants are merged into one deterministic op
-// stream with tenant= tokens and replayed for the spec's duration
+// their offered load; it is replayed with tenant= tokens for the spec's
+// duration, open-loop tenants at their rate and the closed-loop ones
+// merged into one deterministic stream that keeps --window ops in flight
 // (RunProtocolWorkload, the same accounting as bench_workload). Pair it
 // with a --cmd that passes --tenants=... so the server runs the spec's
 // QoS weights. The exit code is 0 iff no answer was an error. The
