@@ -77,9 +77,11 @@ bool IsDocumentedQueryOutcome(const Status& status) {
   }
 }
 
-// Replays a prefix of the merged op stream against a real service while
-// mutations churn the graph through MutableGraphView + UpdateGraph, and
-// checks every single response against the documented outcome contract.
+// Replays the closed-loop tenants' merged op stream, with the open-loop
+// tenant's own stream supplying every other op, against a real service
+// while mutations churn the graph through MutableGraphView + UpdateGraph,
+// and checks every single response against the documented outcome
+// contract.
 TEST(WorkloadTest, MixedClassStreamYieldsOnlyDocumentedOutcomes) {
   const StatusOr<WorkloadSpec> parsed = WorkloadSpec::Parse(kMixedSpec);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -98,7 +100,8 @@ TEST(WorkloadTest, MixedClassStreamYieldsOnlyDocumentedOutcomes) {
   MutableGraphView view(graph.ShallowView());
   QueryService service(view.Snapshot(), config, options);
 
-  MergedOpStream stream(spec, graph.num_nodes());
+  MergedOpStream closed(spec, graph.num_nodes());
+  TenantOpStream paced(spec, spec.TenantIndex("paced"), graph.num_nodes());
   struct Pending {
     WorkloadOp op;
     std::future<QueryResponse> future;
@@ -139,7 +142,7 @@ TEST(WorkloadTest, MixedClassStreamYieldsOnlyDocumentedOutcomes) {
   };
 
   for (int i = 0; i < 600; ++i) {
-    const WorkloadOp op = stream.Next();
+    const WorkloadOp op = i % 2 == 0 ? closed.Next() : paced.Next();
     seen[static_cast<std::size_t>(op.cls)]++;
     if (op.cls == OpClass::kMutation) {
       GraphDelta delta;
