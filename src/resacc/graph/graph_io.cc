@@ -269,6 +269,23 @@ StatusOr<Graph> LoadBinary(const std::string& path) {
     std::fclose(file);
     return Status::OutOfRange("node count too large: " + path);
   }
+  // The format fixes the file size at 24 + 4n + 4m bytes (the header, a
+  // degree per node, a target per edge). Checking the header against it
+  // first keeps a corrupt edge count from sizing the reservation below.
+  const std::uint64_t degree_end = 24 + 4 * num_nodes;
+  const long file_size =
+      std::fseek(file, 0, SEEK_END) == 0 ? std::ftell(file) : -1;
+  const std::uint64_t bytes =
+      file_size < 0 ? 0 : static_cast<std::uint64_t>(file_size);
+  if (bytes < degree_end || (bytes - degree_end) % 4 != 0 ||
+      (bytes - degree_end) / 4 != num_edges ||
+      std::fseek(file, 24, SEEK_SET) != 0) {
+    std::fclose(file);
+    return Status::InvalidArgument(
+        "edge count mismatch (header says " + std::to_string(num_nodes) +
+        " nodes and " + std::to_string(num_edges) + " edges, file has " +
+        std::to_string(file_size) + " bytes): " + path);
+  }
 
   GraphBuilder builder(static_cast<NodeId>(num_nodes));
   builder.Reserve(num_edges);

@@ -11,6 +11,11 @@
 namespace resacc {
 namespace {
 
+constexpr std::size_t kCacheShards = 8;
+// Admission control: a stale cache entry is served, not recomputed, while
+// the submission queue is at or past this fraction of its capacity.
+constexpr double kOverloadHighWater = 0.75;
+
 std::future<QueryResponse> ReadyResponse(QueryResponse response) {
   std::promise<QueryResponse> promise;
   std::future<QueryResponse> future = promise.get_future();
@@ -55,8 +60,7 @@ QueryService::QueryService(const Graph& graph, const RwrConfig& config,
           std::make_shared<const GraphState>(graph.ShallowView(), 0)),
       queue_(std::max<std::size_t>(options.queue_capacity, 1),
              LaneWeights(options)),
-      cache_(options.cache_bytes,
-             std::max<std::size_t>(options.cache_shards, 1)),
+      cache_(options.cache_bytes, kCacheShards),
       owned_registry_(options.metrics_registry
                           ? nullptr
                           : std::make_unique<MetricsRegistry>()),
@@ -403,9 +407,9 @@ std::future<QueryResponse> QueryService::Submit(const QueryRequest& request) {
     // beats a fresh one that would deepen the backlog.
     const bool overloaded =
         queue_.size() >= static_cast<std::size_t>(
-                             options_.overload_high_water *
+                             kOverloadHighWater *
                              static_cast<double>(queue_.capacity()));
-    if (fresh || (options_.serve_stale_under_overload && overloaded)) {
+    if (fresh || overloaded) {
       Waiter waiter;
       waiter.top_k = request.top_k;
       waiter.submit_time = t0;

@@ -63,7 +63,6 @@ struct ServeOptions {
   // Byte budget of the result cache (score payload bytes); 0 disables
   // caching.
   std::size_t cache_bytes = static_cast<std::size_t>(64) << 20;
-  std::size_t cache_shards = 8;
 
   // Single-flight: concurrent requests for a source already queued or
   // computing attach to that computation instead of enqueuing a duplicate.
@@ -94,16 +93,10 @@ struct ServeOptions {
 
   // Age at which a cached result counts as stale; 0 (default) means
   // entries never go stale. Fresh-enough entries are always served; stale
-  // ones are recomputed — except under overload (below).
+  // ones are recomputed — except under overload: while the submission
+  // queue is at or past 3/4 of its capacity, a stale entry is served
+  // (tagged QueryResponse::stale) instead of deepening the backlog.
   double cache_ttl_seconds = 0.0;
-
-  // Admission control: when the submission queue is at or past
-  // `overload_high_water` x capacity and `serve_stale_under_overload` is
-  // set, a stale cache entry is served (tagged QueryResponse::stale)
-  // instead of deepening the backlog. Only meaningful with a TTL; without
-  // one entries are never stale in the first place.
-  double overload_high_water = 0.75;
-  bool serve_stale_under_overload = true;
 
   // Solver knobs shared by every worker.
   ResAccOptions solver;

@@ -7,6 +7,7 @@
 #include <future>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "resacc/util/check.h"
 #include "resacc/util/timer.h"
@@ -268,11 +269,11 @@ void WorkloadTally::Sent(const WorkloadOp& op) {
   ++cells_[op.tenant][static_cast<std::size_t>(op.cls)].counts.sent;
 }
 
-void WorkloadTally::Record(const WorkloadOp& op, const OpOutcome& outcome) {
+void WorkloadTally::Record(const WorkloadOp& op, const QueryResponse& answer) {
   const std::size_t c = static_cast<std::size_t>(op.cls);
   Cell& cell = cells_[op.tenant][c];
   OpStats& counts = cell.counts;
-  switch (outcome.code) {
+  switch (answer.status.code()) {
     case StatusCode::kOk:
       break;
     case StatusCode::kResourceExhausted:
@@ -286,16 +287,15 @@ void WorkloadTally::Record(const WorkloadOp& op, const OpOutcome& outcome) {
       return;
   }
   ++counts.ok;
-  if (outcome.degraded) ++counts.degraded;
-  if (outcome.stale) ++counts.stale;
-  if (outcome.cache_hit) ++counts.cache_hits;
-  if (op.cls == OpClass::kTopK && outcome.entries >= op.top_k) {
+  if (answer.degraded) ++counts.degraded;
+  if (answer.stale) ++counts.stale;
+  if (answer.cache_hit) ++counts.cache_hits;
+  if (op.cls == OpClass::kTopK && answer.top.size() >= op.top_k) {
     ++counts.certified;
   }
-  cell.latency.Record(outcome.latency_seconds);
-  class_latency_[c].Record(outcome.latency_seconds);
-  if (op.cls != OpClass::kMutation && !outcome.cache_hit &&
-      !outcome.coalesced) {
+  cell.latency.Record(answer.latency_seconds);
+  class_latency_[c].Record(answer.latency_seconds);
+  if (op.cls != OpClass::kMutation && !answer.cache_hit && !answer.coalesced) {
     ++computed_ok_[op.tenant];
   }
 }
@@ -321,33 +321,49 @@ WorkloadReport WorkloadTally::Report(double wall_seconds) const {
   return report;
 }
 
-WorkloadDriver::WorkloadDriver(const WorkloadSpec& spec, QueryService* service,
-                               MutableGraphView* view)
-    : spec_(spec), service_(service), view_(view), tally_(spec) {
+ServiceTransport::ServiceTransport(QueryService* service,
+                                   MutableGraphView* view)
+    : service_(service), view_(view) {
   RESACC_CHECK(service_ != nullptr);
-  RESACC_CHECK(!spec_.tenants.empty());
-  num_nodes_ = service_->graph().num_nodes();
 }
 
-void WorkloadDriver::ApplyMutation(const WorkloadOp& op) {
-  if (view_ == nullptr) return;  // query-only harness: mutations skipped
-  tally_.Sent(op);
-  Timer timer;
-  GraphDelta delta;
-  const Status status =
-      op.remove ? view_->RemoveEdge(op.source, op.target, &delta)
-                : view_->AddEdge(op.source, op.target, &delta);
-  if (status.ok()) service_->UpdateGraph(view_->Snapshot(), delta);
-  // Validated no-ops (duplicate add against a pre-existing edge, remove of
-  // an edge another tenant already took) are fine; anything else is a
-  // real failure.
-  OpOutcome outcome;
-  if (status.code() != StatusCode::kAlreadyExists &&
-      status.code() != StatusCode::kNotFound) {
-    outcome.code = status.code();
+std::future<QueryResponse> ServiceTransport::Submit(const WorkloadOp& op,
+                                                    const std::string& tenant) {
+  if (op.cls != OpClass::kMutation) {
+    QueryRequest request;
+    request.source = op.source;
+    request.top_k = op.top_k;
+    request.deadline_seconds = op.deadline_seconds;
+    request.allow_degraded = op.allow_degraded;
+    request.tenant = tenant;
+    return service_->Submit(request);
   }
-  outcome.latency_seconds = timer.ElapsedSeconds();
-  tally_.Record(op, outcome);
+  Timer timer;
+  QueryResponse answer;
+  if (view_ == nullptr) {
+    answer.status = Status::FailedPrecondition("mutation without a graph view");
+  } else {
+    GraphDelta delta;
+    const Status status =
+        op.remove ? view_->RemoveEdge(op.source, op.target, &delta)
+                  : view_->AddEdge(op.source, op.target, &delta);
+    if (status.ok()) service_->UpdateGraph(view_->Snapshot(), delta);
+    if (status.code() != StatusCode::kAlreadyExists &&
+        status.code() != StatusCode::kNotFound) {
+      answer.status = status;
+    }
+  }
+  answer.latency_seconds = timer.ElapsedSeconds();
+  std::promise<QueryResponse> promise;
+  promise.set_value(std::move(answer));
+  return promise.get_future();
+}
+
+WorkloadDriver::WorkloadDriver(const WorkloadSpec& spec,
+                               WorkloadTransport* transport, NodeId num_nodes)
+    : spec_(spec), transport_(transport), num_nodes_(num_nodes), tally_(spec) {
+  RESACC_CHECK(transport_ != nullptr);
+  RESACC_CHECK(!spec_.tenants.empty());
 }
 
 void WorkloadDriver::TenantLoop(std::size_t tenant_index) {
@@ -366,39 +382,19 @@ void WorkloadDriver::TenantLoop(std::size_t tenant_index) {
   std::deque<Pending> pending;
 
   auto settle_front = [&] {
-    Pending& front = pending.front();
-    const QueryResponse response = front.future.get();
-    OpOutcome outcome;
-    outcome.code = response.status.code();
-    outcome.cache_hit = response.cache_hit;
-    outcome.coalesced = response.coalesced;
-    outcome.degraded = response.degraded;
-    outcome.stale = response.stale;
-    outcome.entries = response.top.size();
-    outcome.latency_seconds = response.latency_seconds;
-    tally_.Record(front.op, outcome);
+    tally_.Record(pending.front().op, pending.front().future.get());
     pending.pop_front();
   };
 
-  auto issue = [&](WorkloadOp op) {
-    if (op.cls == OpClass::kMutation) {
-      ApplyMutation(op);
-      return;
-    }
+  auto issue = [&](const WorkloadOp& op) {
     tally_.Sent(op);
-    QueryRequest request;
-    request.source = op.source;
-    request.top_k = op.top_k;
-    request.deadline_seconds = op.deadline_seconds;
-    request.allow_degraded = op.allow_degraded;
-    request.tenant = tenant.name;
-    pending.push_back(Pending{op, service_->Submit(request)});
+    pending.push_back(Pending{op, transport_->Submit(op, tenant.name)});
   };
 
   if (tenant.rate > 0.0) {
     // Open loop: arrivals on the wall clock at `rate` ops/s regardless of
     // completions; futures park in `pending` and drain opportunistically.
-    for (std::uint64_t n = 0;; ++n) {
+    for (std::uint64_t n = 0; transport_->status().ok(); ++n) {
       const auto target =
           start + std::chrono::duration_cast<Clock::duration>(
                       std::chrono::duration<double>(
@@ -415,7 +411,7 @@ void WorkloadDriver::TenantLoop(std::size_t tenant_index) {
   } else {
     // Closed loop: `concurrency` virtual clients, each issuing its next op
     // as soon as one completes.
-    while (Clock::now() < stop_at) {
+    while (Clock::now() < stop_at && transport_->status().ok()) {
       issue(stream.Next());
       while (pending.size() >= tenant.concurrency) settle_front();
     }

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,20 +80,9 @@ Status CheckBounds(const WorkloadReport& report, const std::string& text,
                    const std::string& origin = "<bounds>");
 Status CheckBoundsFile(const WorkloadReport& report, const std::string& path);
 
-// One op's outcome as a driver saw it, in-process or through the pipe.
-struct OpOutcome {
-  StatusCode code = StatusCode::kOk;
-  bool cache_hit = false;
-  bool coalesced = false;
-  bool degraded = false;
-  bool stale = false;
-  std::size_t entries = 0;  // top-k entries the answer carried
-  double latency_seconds = 0.0;
-};
-
-// Folds op outcomes into a WorkloadReport; the in-process driver and
-// RunProtocolWorkload both count through it. Calls for one tenant must
-// come from one thread at a time; tenants may record concurrently.
+// Folds answers into a WorkloadReport; every front-end counts through it.
+// Calls for one tenant must come from one thread at a time; tenants may
+// record concurrently.
 class WorkloadTally {
  public:
   explicit WorkloadTally(const WorkloadSpec& spec);
@@ -100,9 +90,10 @@ class WorkloadTally {
   void Sent(const WorkloadOp& op);
   // kOk counts as ok, with its flags and latency; kResourceExhausted as
   // rejected; kDeadlineExceeded as deadline_exceeded; any other code as an
-  // error. A top-k answer is certified when it carries at least the k the
-  // op asked for; OK queries neither hit nor coalesced are computed_ok.
-  void Record(const WorkloadOp& op, const OpOutcome& outcome);
+  // error. A top-k answer is certified when its `top` carries at least the
+  // k the op asked for; OK queries neither hit nor coalesced are
+  // computed_ok.
+  void Record(const WorkloadOp& op, const QueryResponse& answer);
 
   // Everything tallied so far; spec_origin is left empty.
   WorkloadReport Report(double wall_seconds) const;
@@ -123,33 +114,69 @@ class WorkloadTally {
   std::vector<std::uint64_t> computed_ok_;  // per tenant
 };
 
-// Multi-tenant closed+open-loop driver over an in-process QueryService.
-// One thread per tenant: open-loop tenants (rate > 0) pace submissions on
-// the wall clock and park futures; closed-loop tenants keep `concurrency`
-// ops in flight. Mutation ops go through the MutableGraphView (when one
-// is provided) and re-point the service at the fresh snapshot, exactly as
-// resacc_serve's mutation verbs do; without a view they are skipped and
-// counted as errors=0/sent=0 so query-only harnesses can run the same
-// spec.
+// How a WorkloadDriver issues an op and learns its answer: ServiceTransport
+// (below) in process, PipeTransport (protocol_client.h) over resacc_serve's
+// line protocol.
+class WorkloadTransport {
+ public:
+  WorkloadTransport() = default;
+  virtual ~WorkloadTransport() = default;
+  WorkloadTransport(const WorkloadTransport&) = delete;
+  WorkloadTransport& operator=(const WorkloadTransport&) = delete;
+
+  // Issues `op`, billed to `tenant`. The future always resolves: with the
+  // answer's status, flags, top-k entries and latency. Called from every
+  // tenant's thread at once.
+  virtual std::future<QueryResponse> Submit(const WorkloadOp& op,
+                                            const std::string& tenant) = 0;
+
+  // OK while ops can still be carried; otherwise why not (the server
+  // closed). Tenants stop issuing once it is not OK.
+  virtual Status status() const { return Status::Ok(); }
+};
+
+// In process: queries go to QueryService::Submit. A mutation edits `view`
+// and re-points the service at the fresh snapshot, as resacc_serve's
+// mutation verbs do, and answers at once; a validated no-op (adding an
+// edge already there, removing one already gone) is OK, like the server's
+// `applied=0`. Without a view a mutation answers kFailedPrecondition.
+class ServiceTransport : public WorkloadTransport {
+ public:
+  // `service` must outlive the transport; `view`, when given, must be the
+  // view whose snapshots `service` serves.
+  ServiceTransport(QueryService* service, MutableGraphView* view);
+
+  std::future<QueryResponse> Submit(const WorkloadOp& op,
+                                    const std::string& tenant) override;
+
+ private:
+  QueryService* const service_;
+  MutableGraphView* const view_;
+};
+
+// Replays a spec through a transport, one thread per tenant. An open-loop
+// tenant (rate > 0) issues op i at start + i / rate, whatever is still
+// outstanding; a closed-loop tenant keeps `concurrency` ops, mutations
+// included, outstanding. Each tenant settles its answers in the order it
+// issued the ops.
 class WorkloadDriver {
  public:
-  // `service` must outlive the driver. `view` may be null (no mutations)
-  // but must be the view whose snapshots `service` serves when given.
-  WorkloadDriver(const WorkloadSpec& spec, QueryService* service,
-                 MutableGraphView* view);
+  // `transport` must outlive the driver; op sources are drawn from
+  // [0, num_nodes).
+  WorkloadDriver(const WorkloadSpec& spec, WorkloadTransport* transport,
+                 NodeId num_nodes);
 
-  // Runs the spec to completion (duration_seconds of wall time, then
-  // drains in-flight ops) and returns the measurements. Call once.
+  // Runs the spec to completion (duration_seconds of wall time, or until
+  // the transport fails, then drains outstanding ops) and returns the
+  // measurements. Call once.
   WorkloadReport Run();
 
  private:
   void TenantLoop(std::size_t tenant_index);
-  void ApplyMutation(const WorkloadOp& op);
 
   const WorkloadSpec spec_;
-  QueryService* const service_;
-  MutableGraphView* const view_;
-  NodeId num_nodes_;
+  WorkloadTransport* const transport_;
+  const NodeId num_nodes_;
   WorkloadTally tally_;
 };
 

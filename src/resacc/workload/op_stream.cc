@@ -1,7 +1,5 @@
 #include "resacc/workload/op_stream.h"
 
-#include <algorithm>
-
 #include "resacc/util/check.h"
 
 namespace resacc {
@@ -122,28 +120,6 @@ WorkloadOp TenantOpStream::Next() {
     }
   }
   return op;
-}
-
-MergedOpStream::MergedOpStream(const WorkloadSpec& spec, NodeId num_nodes) {
-  for (std::size_t i = 0; i < spec.tenants.size(); ++i) {
-    const TenantSpec& tenant = spec.tenants[i];
-    if (tenant.rate > 0.0) continue;
-    streams_.emplace_back(spec, i, num_nodes);
-    share_.push_back(static_cast<double>(tenant.concurrency));
-    virtual_time_.push_back(0.0);
-  }
-}
-
-WorkloadOp MergedOpStream::Next() {
-  RESACC_CHECK(!streams_.empty());
-  // Earliest virtual deadline first; ties go to the lowest tenant index, so
-  // the interleave is a deterministic function of the spec alone.
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < streams_.size(); ++i) {
-    if (virtual_time_[i] < virtual_time_[best]) best = i;
-  }
-  virtual_time_[best] += 1.0 / share_[best];
-  return streams_[best].Next();
 }
 
 }  // namespace resacc

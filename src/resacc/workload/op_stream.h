@@ -13,9 +13,9 @@
 
 namespace resacc {
 
-// One generated operation. The driver translates this into a QueryRequest
-// (or a MutableGraphView edit) — the stream itself never talks to the
-// server, which is what keeps generation deterministic: the op sequence is
+// One generated operation. A transport (driver.h) turns it into a
+// QueryRequest, a MutableGraphView edit or a protocol line — the stream
+// itself never talks to the server, which is what keeps generation deterministic: the op sequence is
 // a pure function of (spec, seed, tenant), independent of server outcomes,
 // thread scheduling, or wall clock.
 struct WorkloadOp {
@@ -76,24 +76,6 @@ class TenantOpStream {
   // Edges this stream "believes" it has added and not yet removed. Bounded
   // so a mutation-heavy tenant doesn't grow without limit.
   std::vector<std::pair<NodeId, NodeId>> pending_edges_;
-};
-
-// Interleaves the closed-loop tenants' streams into one deterministic
-// total order, weighted by each tenant's concurrency. Open-loop tenants
-// (rate > 0) are left out: every front-end paces them on the wall clock
-// with their own TenantOpStream. RunProtocolWorkload pipelines this
-// stream; WorkloadDriver instead runs one TenantOpStream per tenant
-// thread. Next() needs at least one closed-loop tenant.
-class MergedOpStream {
- public:
-  MergedOpStream(const WorkloadSpec& spec, NodeId num_nodes);
-
-  WorkloadOp Next();
-
- private:
-  std::vector<TenantOpStream> streams_;
-  std::vector<double> share_;         // ops per virtual second
-  std::vector<double> virtual_time_;  // next-op time per tenant
 };
 
 }  // namespace resacc

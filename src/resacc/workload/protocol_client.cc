@@ -3,19 +3,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
-#include <deque>
-#include <mutex>
-#include <thread>
 #include <utility>
-#include <vector>
 
 #include "resacc/serve/protocol.h"
-#include "resacc/util/timer.h"
 
 namespace resacc {
 
@@ -129,143 +121,97 @@ int ProtocolClient::Shutdown() {
 
 namespace {
 
-// The outcome an answer line reports, latency aside. A line that is
-// neither `ok ...` nor `err ...` counts as an error.
-OpOutcome OutcomeOf(const std::string& line) {
+// The answer a line reports, latency aside.
+QueryResponse AnswerOf(const std::string& line) {
   StatusOr<protocol::Response> parsed = protocol::ParseResponse(line);
-  protocol::Response answer;
-  if (parsed.ok()) answer = std::move(parsed.value());
-  OpOutcome outcome;
-  outcome.code = answer.tag == "ok"    ? StatusCode::kOk
-                 : answer.tag == "err" ? answer.status.code()
-                                       : StatusCode::kInternal;
-  outcome.cache_hit = answer.Field("hit") == 1.0;
-  outcome.coalesced = answer.Field("coalesced") == 1.0;
-  outcome.degraded = answer.Field("degraded") == 1.0;
-  outcome.stale = answer.Field("stale") == 1.0;
-  outcome.entries = answer.top.size();
-  return outcome;
+  protocol::Response fields;
+  if (parsed.ok()) fields = std::move(parsed.value());
+  QueryResponse answer;
+  if (fields.tag == "err") {
+    answer.status = fields.status;
+  } else if (fields.tag != "ok") {
+    answer.status = Status::Internal("unexpected answer '" + line + "'");
+  }
+  answer.cache_hit = fields.Field("hit") == 1.0;
+  answer.coalesced = fields.Field("coalesced") == 1.0;
+  answer.degraded = fields.Field("degraded") == 1.0;
+  answer.stale = fields.Field("stale") == 1.0;
+  for (const TopKEntry& entry : fields.top) {
+    answer.top.emplace_back(entry.node, entry.estimate);
+  }
+  return answer;
+}
+
+QueryResponse Failure(const Status& status) {
+  QueryResponse answer;
+  answer.status = status;
+  return answer;
 }
 
 }  // namespace
 
-Status RunProtocolWorkload(const WorkloadSpec& spec, ProtocolClient& client,
-                           NodeId num_nodes, std::size_t window,
-                           WorkloadReport* report) {
-  WorkloadTally tally(spec);
-  if (window == 0) window = 1;
+PipeTransport::PipeTransport(ProtocolClient* client)
+    : client_(client), reader_([this] { ReadAnswers(); }) {}
 
-  // Open-loop tenants send op i no earlier than start + i / rate, as
-  // WorkloadDriver does; the closed-loop tenants share one merged stream
-  // that keeps `window` ops in flight.
-  struct Paced {
-    TenantOpStream stream;
-    double rate;
-    std::uint64_t sent = 0;
-    double Due() const { return static_cast<double>(sent) / rate; }
-  };
-  std::vector<Paced> paced;
-  bool any_closed = false;
-  for (std::size_t t = 0; t < spec.tenants.size(); ++t) {
-    const double rate = spec.tenants[t].rate;
-    if (rate > 0.0) {
-      paced.push_back(Paced{TenantOpStream(spec, t, num_nodes), rate});
-    } else {
-      any_closed = true;
-    }
-  }
-  MergedOpStream closed(spec, num_nodes);
-
-  struct InFlight {
-    WorkloadOp op;
-    Timer timer;
-  };
-  std::mutex mu;
-  std::condition_variable settled;
-  std::deque<InFlight> in_flight;    // guarded by mu
-  std::size_t closed_in_flight = 0;  // guarded by mu
-  bool sending = true;               // guarded by mu
-  bool server_closed = false;        // guarded by mu
-
-  // The reader settles answers in order while the sender waits for the
-  // next due op: it reads a line whenever an op is in flight, and stops
-  // once sending is over and nothing is left, or the server closes.
-  std::jthread reader([&] {
-    std::string line;
-    for (;;) {
-      {
-        std::unique_lock lock(mu);
-        settled.wait(lock, [&] { return !in_flight.empty() || !sending; });
-        if (in_flight.empty()) return;
-      }
-      if (!client.ReadLine(line)) {
-        std::lock_guard lock(mu);
-        server_closed = true;
-        settled.notify_all();
-        return;
-      }
-      OpOutcome outcome = OutcomeOf(line);
-      std::lock_guard lock(mu);
-      const InFlight& sent = in_flight.front();
-      // Client-observed wall latency; the us= field would miss pipe time.
-      outcome.latency_seconds = sent.timer.ElapsedSeconds();
-      tally.Record(sent.op, outcome);
-      if (spec.tenants[sent.op.tenant].rate <= 0.0) --closed_in_flight;
-      in_flight.pop_front();
-      settled.notify_all();
-    }
-  });
-
-  // Registers the op before its line goes out, so the reader finds it;
-  // the pipe is written without the lock, which the reader needs to
-  // drain the server's answers.
-  const auto send = [&](const WorkloadOp& op) {
-    {
-      std::lock_guard lock(mu);
-      in_flight.push_back(InFlight{op, Timer()});
-      if (spec.tenants[op.tenant].rate <= 0.0) ++closed_in_flight;
-      tally.Sent(op);
-    }
-    client.SendLine(
-        ProtocolClient::FormatOp(op, spec.tenants[op.tenant].name));
-  };
-  const auto window_open = [&] {
-    std::lock_guard lock(mu);
-    return any_closed && closed_in_flight < window;
-  };
-
-  Timer wall;
-  for (double now = 0.0; now < spec.duration_seconds;
-       now = wall.ElapsedSeconds()) {
-    for (Paced& tenant : paced) {
-      for (; tenant.Due() <= now; ++tenant.sent) send(tenant.stream.Next());
-    }
-    while (window_open()) send(closed.Next());
-    client.Flush();
-
-    // Sleep until the next open-loop op is due, a closed-loop slot frees
-    // up, or the run ends.
-    double wake = spec.duration_seconds;
-    for (const Paced& tenant : paced) wake = std::min(wake, tenant.Due());
-    std::unique_lock lock(mu);
-    settled.wait_for(
-        lock, std::chrono::duration<double>(wake - wall.ElapsedSeconds()),
-        [&] {
-          return server_closed || (any_closed && closed_in_flight < window);
-        });
-    if (server_closed) return Status::Internal("server closed mid-run");
-  }
+PipeTransport::~PipeTransport() {
   {
-    std::lock_guard lock(mu);
-    sending = false;
+    std::lock_guard lock(mu_);
+    stopping_ = true;
   }
-  settled.notify_all();
-  reader.join();
-  if (server_closed) return Status::Internal("server closed during drain");
-  const std::string origin = report->spec_origin;
-  *report = tally.Report(wall.ElapsedSeconds());
-  report->spec_origin = origin;
-  return Status::Ok();
+  queued_.notify_one();
+  reader_.join();
+}
+
+std::future<QueryResponse> PipeTransport::Submit(const WorkloadOp& op,
+                                                 const std::string& tenant) {
+  const std::string line = ProtocolClient::FormatOp(op, tenant);
+  std::lock_guard send_lock(send_mu_);
+  std::future<QueryResponse> answer;
+  {
+    std::lock_guard lock(mu_);
+    if (!status_.ok()) {
+      std::promise<QueryResponse> closed;
+      closed.set_value(Failure(status_));
+      return closed.get_future();
+    }
+    in_flight_.emplace_back();
+    answer = in_flight_.back().answer.get_future();
+  }
+  queued_.notify_one();
+  client_->SendLine(line);
+  client_->Flush();
+  return answer;
+}
+
+Status PipeTransport::status() const {
+  std::lock_guard lock(mu_);
+  return status_;
+}
+
+void PipeTransport::ReadAnswers() {
+  std::string line;
+  for (;;) {
+    {
+      std::unique_lock lock(mu_);
+      queued_.wait(lock, [&] { return !in_flight_.empty() || stopping_; });
+      if (in_flight_.empty()) return;
+    }
+    const bool read = client_->ReadLine(line);
+    std::unique_lock lock(mu_);
+    if (!read) {
+      status_ = Status::Internal("server closed mid-run");
+      for (InFlight& op : in_flight_) op.answer.set_value(Failure(status_));
+      in_flight_.clear();
+      return;
+    }
+    InFlight op = std::move(in_flight_.front());
+    in_flight_.pop_front();
+    lock.unlock();
+    const double latency = op.timer.ElapsedSeconds();
+    QueryResponse answer = AnswerOf(line);
+    answer.latency_seconds = latency;
+    op.answer.set_value(std::move(answer));
+  }
 }
 
 }  // namespace resacc

@@ -1,12 +1,19 @@
 #ifndef RESACC_WORKLOAD_PROTOCOL_CLIENT_H_
 #define RESACC_WORKLOAD_PROTOCOL_CLIENT_H_
 
+#include <condition_variable>
 #include <cstdio>
+#include <deque>
+#include <future>
+#include <mutex>
 #include <string>
+#include <thread>
 
 #include <sys/types.h>
 
+#include "resacc/serve/query_service.h"
 #include "resacc/util/status.h"
+#include "resacc/util/timer.h"
 #include "resacc/util/types.h"
 #include "resacc/workload/driver.h"
 #include "resacc/workload/op_stream.h"
@@ -17,8 +24,8 @@ namespace resacc {
 // server under /bin/sh (POSIX fork/exec, like the rest of the tooling),
 // performs the `info` handshake, and moves lines through the pipe. Lines
 // are formatted and parsed by serve/protocol.h, the module the server uses
-// too. Shared by loadgen and bench_workload --serve-cmd. Not thread-safe
-// per direction: one thread may send while another reads.
+// too. Used by loadgen (through PipeTransport, below) and perfbench. Not
+// thread-safe per direction: one thread may send while another reads.
 class ProtocolClient {
  public:
   ProtocolClient() = default;
@@ -64,21 +71,45 @@ class ProtocolClient {
   FILE* from_server_ = nullptr;
 };
 
-// Replays the spec over an already-handshaken client for
-// spec.duration_seconds of wall time, and fills `report` (all but its
-// spec_origin) through the same WorkloadTally as the in-process driver.
-// Open-loop tenants are paced as WorkloadDriver paces them: op i of a
-// tenant with `rate` goes out no earlier than start + i / rate. The
-// closed-loop tenants form one deterministic merged stream
-// (MergedOpStream) with `window` ops pipelined. A reader thread settles
-// answers while the sender waits. Latencies are client-observed wall
-// times; the queue-wait/compute split is unavailable through the pipe; a
-// line that is neither `ok` nor `err` counts as an error. kInternal when
-// the server closes mid-run. Used by bench_workload --serve-cmd and
-// loadgen.
-Status RunProtocolWorkload(const WorkloadSpec& spec, ProtocolClient& client,
-                           NodeId num_nodes, std::size_t window,
-                           WorkloadReport* report);
+// Carries workload ops over an already-handshaken client, which nothing
+// else may use while the transport lives. Submit writes each op's line as
+// it comes, in call order, and one reader thread settles the answers in
+// request order. Latency is the client-observed wall time from Submit to
+// the answer line; the queue-wait/compute split is unavailable through
+// the pipe, and a line that is neither `ok` nor `err` is kInternal. Once
+// the server closes, every outstanding and later op resolves kInternal
+// and status() reports the close. POSIX: give the process SIG_IGN for
+// SIGPIPE, or a write to a closed server kills it.
+class PipeTransport : public WorkloadTransport {
+ public:
+  explicit PipeTransport(ProtocolClient* client);
+  // Waits for the outstanding answers, then stops the reader.
+  ~PipeTransport() override;
+
+  std::future<QueryResponse> Submit(const WorkloadOp& op,
+                                    const std::string& tenant) override;
+  Status status() const override;
+
+ private:
+  struct InFlight {
+    std::promise<QueryResponse> answer;
+    Timer timer;
+  };
+
+  void ReadAnswers();
+
+  ProtocolClient* const client_;
+  // Held from queueing an op until its line is written, so lines enter
+  // the pipe in queue order. The reader never takes it: a write blocked on
+  // a full pipe must not stop the answers that drain it.
+  std::mutex send_mu_;
+  mutable std::mutex mu_;  // guards the fields below; no pipe I/O under it
+  std::condition_variable queued_;
+  std::deque<InFlight> in_flight_;
+  Status status_;
+  bool stopping_ = false;
+  std::thread reader_;  // last: starts once the fields above exist
+};
 
 }  // namespace resacc
 

@@ -199,6 +199,36 @@ TEST(BinaryGraphTest, RejectsEdgeCountMismatch) {
   std::remove(path.c_str());
 }
 
+// A header claiming 2^64 - 1 edges used to size the loader's reservation
+// (std::length_error, an abort in `resacc stats`). The file's size, fixed
+// by the format at 24 + 4n + 4m bytes, rejects it first.
+TEST(BinaryGraphTest, RejectsEdgeCountBeyondTheFileSize) {
+  const std::string path = TempPath("huge_edge_count.bin");
+  std::string bytes;
+  const auto append = [&bytes](const void* data, std::size_t n) {
+    bytes.append(static_cast<const char*>(data), n);
+  };
+  const std::uint64_t magic = 0x52455341'43433031ULL;  // "RESACC01"
+  const std::uint64_t num_nodes = 2;
+  const std::uint64_t num_edges = ~std::uint64_t{0};
+  const std::uint32_t degree = 0;
+  append(&magic, sizeof(magic));
+  append(&num_nodes, sizeof(num_nodes));
+  append(&num_edges, sizeof(num_edges));
+  append(&degree, sizeof(degree));
+  append(&degree, sizeof(degree));
+  ASSERT_EQ(bytes.size(), 32u);
+  WriteFile(path, bytes);
+
+  const StatusOr<Graph> graph = LoadBinary(path);
+  ASSERT_FALSE(graph.ok());
+  EXPECT_EQ(graph.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(graph.status().ToString().find("edge count mismatch"),
+            std::string::npos)
+      << graph.status().ToString();
+  std::remove(path.c_str());
+}
+
 // --- RESACC02 snapshot ---------------------------------------------------
 
 TEST(SnapshotTest, MmapRoundTripIsBitIdentical) {

@@ -846,6 +846,49 @@ TEST(QueryServiceTest, QueueOverflowReturnsBackpressureStatus) {
   EXPECT_EQ(stats.completed, 2u);
 }
 
+// Admission control: with the queue at 3/4 of its capacity, a stale cache
+// entry is served as it is (tagged stale); once the queue drains, the same
+// entry is recomputed.
+TEST(QueryServiceTest, ServesStaleEntryOnlyUnderOverload) {
+  const Graph graph = ChungLuPowerLaw(500, 3000, 2.2, 10);
+  Gate gate;
+  ServeOptions options;
+  options.num_workers = 1;
+  options.queue_capacity = 4;
+  options.cache_ttl_seconds = 1e-3;
+  options.dequeue_hook = gate.HookBlocking(/*blocked_source=*/1);
+
+  QueryService service(graph, TestConfig(graph), options);
+  const QueryResponse first = service.Query(QueryRequest{7, 0, 0.0});
+  ASSERT_TRUE(first.status.ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // now stale
+
+  auto blocked = service.Submit(QueryRequest{1, 0, 0.0});  // on the worker
+  gate.AwaitArrival();
+  std::vector<std::future<QueryResponse>> queued;
+  for (NodeId source : {2, 3, 4}) {
+    queued.push_back(service.Submit(QueryRequest{source, 0, 0.0}));
+  }
+  const QueryResponse stale = service.Submit(QueryRequest{7, 0, 0.0}).get();
+  ASSERT_TRUE(stale.status.ok());
+  EXPECT_TRUE(stale.stale);
+  EXPECT_TRUE(stale.cache_hit);
+  EXPECT_EQ(*stale.scores, *first.scores);
+
+  gate.Open();
+  EXPECT_TRUE(blocked.get().status.ok());
+  for (auto& answer : queued) EXPECT_TRUE(answer.get().status.ok());
+  const QueryResponse recomputed = service.Query(QueryRequest{7, 0, 0.0});
+  ASSERT_TRUE(recomputed.status.ok());
+  EXPECT_FALSE(recomputed.stale);
+  EXPECT_FALSE(recomputed.cache_hit);
+  EXPECT_EQ(*recomputed.scores, *first.scores);
+
+  const ServerStats stats = service.Snapshot();
+  EXPECT_EQ(stats.stale_served, 1u);
+  EXPECT_EQ(stats.computed, 6u);  // 7 twice, 1, 2, 3 and 4
+}
+
 TEST(QueryServiceTest, ExpiredRequestGetsDeadlineExceeded) {
   const Graph graph = ChungLuPowerLaw(500, 3000, 2.2, 10);
   Gate gate;

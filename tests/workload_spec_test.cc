@@ -251,57 +251,6 @@ TEST(OpStreamTest, ReplayIsDeterministicAcrossRunsAndThreads) {
   }
 }
 
-TEST(OpStreamTest, MergedStreamIsDeterministic) {
-  // Two closed-loop tenants, gold with twice bronze's concurrency, and an
-  // open-loop one between them that the merge leaves out.
-  const StatusOr<WorkloadSpec> parsed = WorkloadSpec::Parse(R"(
-seed 99
-source zipfian 0.8
-tenant gold
-  concurrency 6
-  class full 3
-  class topk 1
-end
-tenant paced
-  rate 100
-  class full 1
-end
-tenant bronze
-  concurrency 3
-  class full 0.2
-  class deadline 0.2
-  class degraded 0.2
-  class mutation 0.4
-end
-)");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const WorkloadSpec& spec = parsed.value();
-  constexpr std::size_t kOps = 2000;
-  std::vector<WorkloadOp> a;
-  std::vector<WorkloadOp> b;
-  {
-    MergedOpStream stream(spec, 1000);
-    for (std::size_t i = 0; i < kOps; ++i) a.push_back(stream.Next());
-  }
-  {
-    MergedOpStream stream(spec, 1000);
-    for (std::size_t i = 0; i < kOps; ++i) b.push_back(stream.Next());
-  }
-  ExpectSameOps(a, b);
-  // The interleave respects concurrency: gold sends twice as many ops as
-  // bronze, and each tenant's ops are its own stream's, in order.
-  std::vector<WorkloadOp> gold;
-  std::vector<WorkloadOp> bronze;
-  for (const WorkloadOp& op : a) {
-    ASSERT_NE(op.tenant, 1u) << "the open-loop tenant was merged";
-    (op.tenant == 0 ? gold : bronze).push_back(op);
-  }
-  EXPECT_NEAR(static_cast<double>(gold.size()),
-              2.0 * static_cast<double>(bronze.size()), 2.0);
-  ExpectSameOps(gold, GenerateOps(spec, 0, gold.size()));
-  ExpectSameOps(bronze, GenerateOps(spec, 2, bronze.size()));
-}
-
 TEST(OpStreamTest, MutationChurnRemovesOnlyTrackedEdges) {
   // Build a mutation-only tenant and check rmedge ops always name an edge
   // previously added (and not yet removed) by the same stream.

@@ -1,12 +1,23 @@
-// End-to-end workload harness tests against an in-process QueryService:
-// a four-tenant mixed-class spec on a churning graph must only ever
-// produce the outcomes documented in docs/QUERY_MODES.md, and the
-// weighted fair queue must turn ServeOptions::tenant_weights into a
-// proportional throughput split under saturation. Runs under TSAN in CI
-// (driver threads + workers + mutation thread race by design).
+// Workload harness tests. Against an in-process QueryService, a
+// four-tenant mixed-class spec on a churning graph must only ever produce
+// the outcomes documented in docs/QUERY_MODES.md, and the weighted fair
+// queue must turn ServeOptions::tenant_weights into a proportional
+// throughput split under saturation. Against a fake transport, the driver
+// must keep each closed-loop tenant's concurrency and pace each open-loop
+// tenant's rate; over the pipe, against a stub server, answers must
+// settle as they arrive and a server that closes must fail the run. Runs
+// under TSAN in CI (driver threads + workers + mutation thread race by
+// design).
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <csignal>
+#include <deque>
 #include <future>
+#include <mutex>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -18,6 +29,7 @@
 #include "resacc/serve/query_service.h"
 #include "resacc/workload/driver.h"
 #include "resacc/workload/op_stream.h"
+#include "resacc/workload/protocol_client.h"
 #include "resacc/workload/workload_spec.h"
 
 namespace resacc {
@@ -77,11 +89,10 @@ bool IsDocumentedQueryOutcome(const Status& status) {
   }
 }
 
-// Replays the closed-loop tenants' merged op stream, with the open-loop
-// tenant's own stream supplying every other op, against a real service
-// while mutations churn the graph through MutableGraphView + UpdateGraph,
-// and checks every single response against the documented outcome
-// contract.
+// Replays every tenant's op stream, interleaved round-robin, through a
+// ServiceTransport against a real service while the churn tenant's
+// mutations edit the graph, and checks every single answer against the
+// documented outcome contract.
 TEST(WorkloadTest, MixedClassStreamYieldsOnlyDocumentedOutcomes) {
   const StatusOr<WorkloadSpec> parsed = WorkloadSpec::Parse(kMixedSpec);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -99,21 +110,30 @@ TEST(WorkloadTest, MixedClassStreamYieldsOnlyDocumentedOutcomes) {
 
   MutableGraphView view(graph.ShallowView());
   QueryService service(view.Snapshot(), config, options);
+  ServiceTransport transport(&service, &view);
 
-  MergedOpStream closed(spec, graph.num_nodes());
-  TenantOpStream paced(spec, spec.TenantIndex("paced"), graph.num_nodes());
+  std::vector<TenantOpStream> streams;
+  for (std::size_t t = 0; t < spec.tenants.size(); ++t) {
+    streams.emplace_back(spec, t, graph.num_nodes());
+  }
   struct Pending {
     WorkloadOp op;
     std::future<QueryResponse> future;
   };
   std::vector<Pending> window;
   std::size_t checked = 0;
-  std::size_t mutations = 0;
   std::array<std::size_t, kNumOpClasses> seen{};
 
   auto settle = [&](Pending pending) {
     const QueryResponse response = pending.future.get();
     ++checked;
+    if (pending.op.cls == OpClass::kMutation) {
+      // The ledger keeps adds and removes consistent with the ops the
+      // stream itself issued; an edge that collides with the base graph
+      // is a validated no-op, which answers OK too.
+      EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+      return;
+    }
     ASSERT_TRUE(IsDocumentedQueryOutcome(response.status))
         << "undocumented outcome: " << response.status.ToString();
     if (!response.status.ok()) return;
@@ -130,45 +150,20 @@ TEST(WorkloadTest, MixedClassStreamYieldsOnlyDocumentedOutcomes) {
             << " entries, certified k=" << response.topk->k
             << ", asked for " << pending.op.top_k;
       }
-    } else if (pending.op.cls != OpClass::kMutation) {
-      if (response.degraded) {
-        EXPECT_TRUE(pending.op.allow_degraded);
-        EXPECT_GT(response.achieved_epsilon, 0.0);
-      } else {
-        ASSERT_NE(response.scores, nullptr);
-        EXPECT_EQ(response.scores->size(), graph.num_nodes());
-      }
+    } else if (response.degraded) {
+      EXPECT_TRUE(pending.op.allow_degraded);
+      EXPECT_GT(response.achieved_epsilon, 0.0);
+    } else {
+      ASSERT_NE(response.scores, nullptr);
+      EXPECT_EQ(response.scores->size(), graph.num_nodes());
     }
   };
 
-  for (int i = 0; i < 600; ++i) {
-    const WorkloadOp op = i % 2 == 0 ? closed.Next() : paced.Next();
+  for (std::size_t i = 0; i < 600; ++i) {
+    const WorkloadOp op = streams[i % streams.size()].Next();
     seen[static_cast<std::size_t>(op.cls)]++;
-    if (op.cls == OpClass::kMutation) {
-      GraphDelta delta;
-      const Status status =
-          op.remove ? view.RemoveEdge(op.source, op.target, &delta)
-                    : view.AddEdge(op.source, op.target, &delta);
-      if (status.ok()) {
-        service.UpdateGraph(view.Snapshot(), delta);
-        ++mutations;
-      } else {
-        // The ledger guarantees adds/removes are consistent with the ops
-        // the stream itself issued, but edges may collide with the base
-        // graph: those surface as the documented no-op statuses.
-        ASSERT_TRUE(status.code() == StatusCode::kAlreadyExists ||
-                    status.code() == StatusCode::kNotFound)
-            << status.ToString();
-      }
-      continue;
-    }
-    QueryRequest request;
-    request.source = op.source;
-    request.top_k = op.cls == OpClass::kTopK ? op.top_k : 0;
-    request.deadline_seconds = op.deadline_seconds;
-    request.allow_degraded = op.allow_degraded;
-    request.tenant = spec.tenants[op.tenant].name;
-    window.push_back(Pending{op, service.Submit(request)});
+    window.push_back(
+        Pending{op, transport.Submit(op, spec.tenants[op.tenant].name)});
     if (window.size() >= 8) {
       settle(std::move(window.front()));
       window.erase(window.begin());
@@ -176,8 +171,9 @@ TEST(WorkloadTest, MixedClassStreamYieldsOnlyDocumentedOutcomes) {
   }
   for (Pending& pending : window) settle(std::move(pending));
 
-  EXPECT_GE(checked, 400u);
-  EXPECT_GT(mutations, 0u) << "the churn tenant never mutated the graph";
+  EXPECT_EQ(checked, 600u);
+  EXPECT_GT(service.graph_epoch(), 0u)
+      << "the churn tenant never mutated the graph";
   for (std::size_t c = 0; c < kNumOpClasses; ++c) {
     EXPECT_GT(seen[c], 0u) << "class " << OpClassName(static_cast<OpClass>(c))
                            << " never generated";
@@ -222,8 +218,9 @@ end
   }
   QueryService service(graph, config, options);
 
-  WorkloadDriver driver(spec, &service, /*view=*/nullptr);
-  const WorkloadReport report = driver.Run();
+  ServiceTransport transport(&service, /*view=*/nullptr);
+  const WorkloadReport report =
+      WorkloadDriver(spec, &transport, graph.num_nodes()).Run();
 
   ASSERT_EQ(report.tenant_names.size(), 2u);
   const std::uint64_t gold = report.computed_ok[0];
@@ -258,8 +255,9 @@ end
   ServeOptions options;
   options.num_workers = 1;
   QueryService service(graph, config, options);
-  WorkloadDriver driver(parsed.value(), &service, nullptr);
-  const WorkloadReport report = driver.Run();
+  ServiceTransport transport(&service, /*view=*/nullptr);
+  const WorkloadReport report =
+      WorkloadDriver(parsed.value(), &transport, graph.num_nodes()).Run();
   ASSERT_GT(report.TotalOk(), 0u);
 
   const std::string json = report.ToJson();
@@ -280,8 +278,8 @@ end
   EXPECT_EQ(malformed.code(), StatusCode::kInvalidArgument);
 }
 
-// Both drivers count through WorkloadTally: one rule per outcome code, and
-// one top-k coverage rule (the entries an answer carried, whichever
+// Every front-end counts through WorkloadTally: one rule per status code,
+// and one top-k coverage rule (the entries an answer carried, whichever
 // transport delivered it).
 TEST(WorkloadTest, TallyCountsEachOutcomeByOneRule) {
   const StatusOr<WorkloadSpec> parsed = WorkloadSpec::Parse(R"(
@@ -303,23 +301,23 @@ end
   mutation.cls = OpClass::kMutation;
   for (int i = 0; i < 4; ++i) tally.Sent(topk);
 
-  OpOutcome covered;
-  covered.entries = 5;
+  QueryResponse covered;
+  covered.top.resize(5);
   tally.Record(topk, covered);
-  OpOutcome short_hit;
-  short_hit.entries = 4;
+  QueryResponse short_hit;
+  short_hit.top.resize(4);
   short_hit.cache_hit = true;
   tally.Record(topk, short_hit);
-  OpOutcome rejected;
-  rejected.code = StatusCode::kResourceExhausted;
+  QueryResponse rejected;
+  rejected.status = Status::ResourceExhausted("queue full");
   tally.Record(topk, rejected);
-  OpOutcome expired;
-  expired.code = StatusCode::kDeadlineExceeded;
+  QueryResponse expired;
+  expired.status = Status::DeadlineExceeded("expired");
   tally.Record(topk, expired);
-  OpOutcome failed;
-  failed.code = StatusCode::kInternal;
+  QueryResponse failed;
+  failed.status = Status::Internal("broken");
   tally.Record(full, failed);
-  tally.Record(mutation, OpOutcome{});
+  tally.Record(mutation, QueryResponse{});
 
   const WorkloadReport report = tally.Report(/*wall_seconds=*/2.0);
   const OpStats& t = report.classes[static_cast<std::size_t>(OpClass::kTopK)];
@@ -340,6 +338,217 @@ end
   EXPECT_EQ(report.computed_ok, (std::vector<std::uint64_t>{0, 1}));
   EXPECT_EQ(report.tenant_names, (std::vector<std::string>{"a", "b"}));
   EXPECT_DOUBLE_EQ(report.wall_seconds, 2.0);
+}
+
+// Answers every op OK about a millisecond after it arrives, in arrival
+// order, and counts per tenant the ops it received and the most it held
+// unanswered at once.
+class FakeTransport : public WorkloadTransport {
+ public:
+  explicit FakeTransport(std::size_t tenants)
+      : received_(tenants, 0), outstanding_(tenants, 0), peak_(tenants, 0) {}
+
+  ~FakeTransport() override {
+    {
+      std::lock_guard lock(mu_);
+      stopping_ = true;
+    }
+    arrived_.notify_one();
+    answerer_.join();
+  }
+
+  std::future<QueryResponse> Submit(const WorkloadOp& op,
+                                    const std::string& /*tenant*/) override {
+    std::lock_guard lock(mu_);
+    ++received_[op.tenant];
+    peak_[op.tenant] = std::max(peak_[op.tenant], ++outstanding_[op.tenant]);
+    held_.push_back(Held{op.tenant, Clock::now() + kDelay, {}});
+    arrived_.notify_one();
+    return held_.back().answer.get_future();
+  }
+
+  std::vector<std::size_t> received() const {
+    std::lock_guard lock(mu_);
+    return received_;
+  }
+  std::vector<std::size_t> peak() const {
+    std::lock_guard lock(mu_);
+    return peak_;
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  static constexpr std::chrono::milliseconds kDelay{1};
+
+  struct Held {
+    std::size_t tenant;
+    Clock::time_point due;
+    std::promise<QueryResponse> answer;
+  };
+
+  void Answer() {
+    std::unique_lock lock(mu_);
+    for (;;) {
+      arrived_.wait(lock, [&] { return !held_.empty() || stopping_; });
+      if (held_.empty()) return;
+      if (Clock::now() < held_.front().due) {
+        arrived_.wait_until(lock, held_.front().due);
+        continue;
+      }
+      Held held = std::move(held_.front());
+      held_.pop_front();
+      // Counted down before the answer lands, so the driver's next op
+      // never meets a stale count.
+      --outstanding_[held.tenant];
+      held.answer.set_value(QueryResponse{});
+    }
+  }
+
+  mutable std::mutex mu_;
+  std::condition_variable arrived_;
+  std::deque<Held> held_;
+  std::vector<std::size_t> received_;
+  std::vector<std::size_t> outstanding_;
+  std::vector<std::size_t> peak_;
+  bool stopping_ = false;
+  std::thread answerer_{[this] { Answer(); }};
+};
+
+// The driver's rule, whatever the transport: a closed-loop tenant keeps
+// exactly `concurrency` ops outstanding, mutations included; an open-loop
+// tenant at 40/s sends 20 ops in 0.5 s; and the tally counts as sent what
+// the transport received.
+TEST(WorkloadTest, DriverKeepsConcurrencyAndPacesRate) {
+  const StatusOr<WorkloadSpec> parsed = WorkloadSpec::Parse(R"(
+duration_seconds 0.5
+seed 3
+source uniform
+
+tenant wide
+  concurrency 6
+  class full 1
+end
+
+tenant churn
+  concurrency 2
+  class full 0.5
+  class mutation 0.5
+end
+
+tenant paced
+  rate 40
+  class topk 1
+end
+)");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  FakeTransport transport(3);
+  const WorkloadReport report =
+      WorkloadDriver(parsed.value(), &transport, /*num_nodes=*/100).Run();
+
+  const std::vector<std::size_t> peak = transport.peak();
+  EXPECT_EQ(peak[0], 6u);
+  EXPECT_EQ(peak[1], 2u);
+  const std::vector<std::size_t> received = transport.received();
+  EXPECT_NEAR(static_cast<double>(received[2]), 20.0, 1.0);
+  for (std::size_t t = 0; t < received.size(); ++t) {
+    std::uint64_t sent = 0;
+    for (const OpStats& s : report.tenants[t]) sent += s.sent;
+    EXPECT_EQ(sent, received[t]) << report.tenant_names[t];
+  }
+  EXPECT_GT(report.classes[static_cast<std::size_t>(OpClass::kMutation)].ok,
+            0u);
+  EXPECT_EQ(report.TotalOk(), report.TotalSent());
+}
+
+// A stand-in for resacc_serve: answers `info` with a node count, `quit`
+// with `bye`, and any other line at once with a bare `ok`.
+constexpr char kEchoServer[] =
+    "while read -r verb rest; do case $verb in "
+    "info) echo 'info nodes=1000';; quit) echo bye; exit 0;; *) echo ok;; "
+    "esac; done";
+
+// Over the pipe, each answer settles as soon as it arrives: with closed-
+// loop traffic keeping the pipe busy, every op against a server that
+// answers at once comes back OK within the paced tenant's 1 / rate.
+TEST(WorkloadTest, PipeSettlesAnswersAsTheyArrive) {
+  const StatusOr<WorkloadSpec> parsed = WorkloadSpec::Parse(R"(
+duration_seconds 1
+seed 5
+source uniform
+
+tenant busy
+  concurrency 4
+  class full 0.5
+  class topk 0.5
+end
+
+tenant paced
+  rate 10
+  class full 1
+end
+)");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ProtocolClient client;
+  ASSERT_TRUE(client.Spawn(kEchoServer).ok());
+  const StatusOr<NodeId> nodes = client.Handshake();
+  ASSERT_TRUE(nodes.ok()) << nodes.status().ToString();
+  ASSERT_EQ(nodes.value(), 1000u);
+
+  WorkloadReport report;
+  {
+    PipeTransport transport(&client);
+    report = WorkloadDriver(parsed.value(), &transport, nodes.value()).Run();
+    EXPECT_TRUE(transport.status().ok()) << transport.status().ToString();
+  }
+  EXPECT_EQ(report.TotalOk(), report.TotalSent());
+  std::uint64_t paced = 0;
+  for (const OpStats& s : report.tenants[1]) paced += s.sent;
+  EXPECT_NEAR(static_cast<double>(paced), 10.0, 1.0);
+  for (std::size_t c = 0; c < kNumOpClasses; ++c) {
+    EXPECT_LT(report.classes[c].latency.max, 1.0 / 10)
+        << OpClassName(static_cast<OpClass>(c));
+  }
+  EXPECT_EQ(client.Shutdown(), 0);
+}
+
+// A server that closes mid-run fails every answer still outstanding, and
+// the run stops there instead of at its 30 s: the stub answers the
+// handshake and three lines, then exits.
+TEST(WorkloadTest, PipeFailsOutstandingOpsWhenTheServerCloses) {
+  std::signal(SIGPIPE, SIG_IGN);  // writes to the closed server must fail
+  const StatusOr<WorkloadSpec> parsed = WorkloadSpec::Parse(R"(
+duration_seconds 30
+seed 5
+source uniform
+
+tenant busy
+  concurrency 4
+  class full 1
+end
+)");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ProtocolClient client;
+  ASSERT_TRUE(client
+                  .Spawn("read -r line; echo 'info nodes=50'; "
+                         "for i in 1 2 3; do read -r line; echo ok; done")
+                  .ok());
+  const StatusOr<NodeId> nodes = client.Handshake();
+  ASSERT_TRUE(nodes.ok()) << nodes.status().ToString();
+
+  WorkloadReport report;
+  Status closed;
+  {
+    PipeTransport transport(&client);
+    report = WorkloadDriver(parsed.value(), &transport, nodes.value()).Run();
+    closed = transport.status();
+  }
+  ASSERT_FALSE(closed.ok());
+  EXPECT_NE(closed.ToString().find("server closed"), std::string::npos)
+      << closed.ToString();
+  EXPECT_EQ(report.TotalOk(), 3u);
+  EXPECT_GE(report.TotalErrors(), 1u);
+  EXPECT_EQ(report.TotalOk() + report.TotalErrors(), report.TotalSent());
+  EXPECT_LT(report.wall_seconds, 10.0);
 }
 
 }  // namespace

@@ -1,21 +1,20 @@
 // loadgen — load generator for resacc_serve. Spawns the server, replays a
-// declarative workload spec through its stdin/stdout line protocol with a
-// bounded pipelining window, and reports client-side throughput and
-// per-class latency plus the server's own stats line.
+// declarative workload spec through its stdin/stdout line protocol, and
+// reports client-side throughput and per-class latency plus the server's
+// own stats line.
 //
 //   loadgen --cmd="build/tools/resacc_serve graph.bin --workers=4"
-//           --spec=FILE [--window=16]
-//           [--chaos] [--chaos-prob=P] [--chaos-seed=S]
+//           --spec=FILE [--chaos] [--chaos-prob=P] [--chaos-seed=S]
 //
 // The spec (docs/WORKLOADS.md) declares tenants, their class mixes and
-// their offered load; it is replayed with tenant= tokens for the spec's
-// duration, open-loop tenants at their rate and the closed-loop ones
-// merged into one deterministic stream that keeps --window ops in flight
-// (RunProtocolWorkload, the same accounting as bench_workload). Pair it
-// with a --cmd that passes --tenants=... so the server runs the spec's
-// QoS weights. The exit code is 0 iff no answer was an error. The
-// server's stats line then splits the p95 into queue wait (saturation)
-// and compute (the solver).
+// their offered load; WorkloadDriver replays it over a PipeTransport with
+// tenant= tokens for the spec's duration: open-loop tenants at their
+// rate, closed-loop ones with `concurrency` ops each in flight, the same
+// rule and accounting as bench_workload in process. Pair it with a --cmd
+// that passes --tenants=... so the server runs the spec's QoS weights.
+// The exit code is 0 iff no answer was an error and the server stayed up.
+// The server's stats line then splits the p95 into queue wait
+// (saturation) and compute (the solver).
 //
 // --chaos spawns the server with deterministic fault injection armed
 // (RESACC_FAULTS=1, see util/fault_injection.h) at --chaos-prob per site
@@ -26,6 +25,7 @@
 // POSIX-only (fork/exec + pipes, via the workload library's
 // ProtocolClient); the server command is run through /bin/sh.
 
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <optional>
@@ -33,6 +33,7 @@
 
 #include "resacc/serve/protocol.h"
 #include "resacc/util/args.h"
+#include "resacc/workload/driver.h"
 #include "resacc/workload/protocol_client.h"
 #include "resacc/workload/workload_spec.h"
 
@@ -69,8 +70,7 @@ int main(int argc, char** argv) {
   if (command.empty() || spec_path.empty()) {
     std::fprintf(stderr,
                  "usage: loadgen --cmd=\"resacc_serve <graph> [opts]\" "
-                 "--spec=FILE [--window=W] [--chaos] [--chaos-prob=P] "
-                 "[--chaos-seed=S]\n");
+                 "--spec=FILE [--chaos] [--chaos-prob=P] [--chaos-seed=S]\n");
     return 2;
   }
   const StatusOr<WorkloadSpec> spec = WorkloadSpec::ParseFile(spec_path);
@@ -78,8 +78,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "loadgen: %s\n", spec.status().ToString().c_str());
     return 2;
   }
-  const std::size_t window =
-      static_cast<std::size_t>(args.GetInt("window", 16));
   const bool chaos = args.HasFlag("chaos");
 
   std::string spawn_command = command;
@@ -100,6 +98,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(chaos_seed));
   }
 
+  // A server that dies mid-run must surface as an error, not kill loadgen
+  // on its next write.
+  std::signal(SIGPIPE, SIG_IGN);
   ProtocolClient client;
   if (!client.Spawn(spawn_command).ok()) {
     std::fprintf(stderr, "loadgen: failed to spawn '%s'\n",
@@ -112,14 +113,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("loadgen: spec %s, %zu tenants, %.0fs over %u nodes, "
-              "window=%zu\n",
+  std::printf("loadgen: spec %s, %zu tenants, %.0fs over %u nodes\n",
               spec_path.c_str(), spec.value().tenants.size(),
-              spec.value().duration_seconds, nodes.value(), window);
+              spec.value().duration_seconds, nodes.value());
   WorkloadReport report;
-  const Status run =
-      RunProtocolWorkload(spec.value(), client, nodes.value(), window,
-                          &report);
+  Status run;
+  {
+    PipeTransport transport(&client);
+    report = WorkloadDriver(spec.value(), &transport, nodes.value()).Run();
+    run = transport.status();
+  }
   if (!run.ok()) {
     std::fprintf(stderr, "loadgen: %s\n", run.ToString().c_str());
     return 1;
@@ -158,8 +161,8 @@ int main(int argc, char** argv) {
   client.Shutdown();
 
   // Chaos asserts liveness, not a spotless log: injected faults surface as
-  // err answers, but every request got one — RunProtocolWorkload fails
-  // the run above otherwise.
+  // err answers, but every request got one — a server that closed fails
+  // the run above.
   if (chaos) {
     std::printf("chaos:   all %llu answers arrived (%llu errors tolerated)\n",
                 static_cast<unsigned long long>(report.TotalSent()),
