@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "resacc/core/rwr_config.h"
@@ -11,6 +12,7 @@
 #include "resacc/graph/datasets.h"
 #include "resacc/graph/graph.h"
 #include "resacc/util/env.h"
+#include "resacc/util/json.h"
 #include "resacc/util/table.h"
 #include "resacc/util/timer.h"
 
@@ -80,6 +82,54 @@ inline double AverageQuerySeconds(SsrwrAlgorithm& algo,
   Timer timer;
   for (NodeId s : sources) algo.Query(s);
   return timer.ElapsedSeconds() / static_cast<double>(sources.size());
+}
+
+// Best-of-`reps` QPS of `per_source` (called as per_source(s, first_rep))
+// over `sources`. The solvers are deterministic, so every rep computes the
+// same results; taking the best rep gives every mode the same treatment
+// and keeps scheduler noise out of the gated ratios.
+template <typename PerSourceFn>
+double ModeQps(const std::vector<NodeId>& sources, int reps,
+               PerSourceFn&& per_source) {
+  double best_seconds = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    Timer timer;
+    for (NodeId s : sources) per_source(s, rep == 0);
+    const double seconds = timer.ElapsedSeconds();
+    if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
+  }
+  return static_cast<double>(sources.size()) / best_seconds;
+}
+
+// Removes every `--<name>=VALUE` argument from argv and returns the last
+// VALUE ("" when there is none); the rest of argv is left for another
+// parser.
+inline std::string TakeFlag(int& argc, char** argv,
+                            const std::string& name) {
+  const std::string prefix = "--" + name + "=";
+  std::string value;
+  int kept = 0;
+  for (int i = 0; i < argc; ++i) {
+    if (std::string_view(argv[i]).starts_with(prefix)) {
+      value = argv[i] + prefix.size();
+    } else {
+      argv[kept++] = argv[i];
+    }
+  }
+  argc = kept;
+  return value;
+}
+
+// Writes a finished bench record. False, after a message, when it could
+// not be written in full; the binary then exits 2.
+inline bool WriteRecord(const std::string& path, const JsonWriter& json) {
+  const Status written = WriteTextFile(path, json.str() + "\n");
+  if (!written.ok()) {
+    std::fprintf(stderr, "%s\n", written.ToString().c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 // Header line describing a dataset row (ours vs the paper's original).

@@ -13,68 +13,48 @@
 //   * hybrid tail QPS stays within noise of pure-local (>= 80%);
 //   * every dense result satisfies Definition 1 against power-iteration
 //     ground truth — deterministically, per the eps * delta tolerance.
-// Exit 1 on any gate failure, 2 when the record cannot be written.
-//
-// Env knobs: RESACC_HYBRID_{NODES,EDGES,HUBS,TAILS,REPS,VERIFY,RATIO,
-// ALPHA,DELTA}.
+// Exit 1 on any gate failure, 2 when the record cannot be written in
+// full. The record stamps the graph and config below.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "resacc/core/power_iter.h"
 #include "resacc/core/resacc_solver.h"
 #include "resacc/eval/ground_truth.h"
 #include "resacc/graph/generators.h"
 #include "resacc/graph/graph.h"
-#include "resacc/util/env.h"
-#include "resacc/util/timer.h"
+#include "resacc/util/json.h"
 
 namespace resacc {
 namespace {
 
-// Best-of-reps QPS of `per_source` over `sources` (same rationale as
-// bench_serve's ModeQps: the smoke wants the machine's capability, not its
-// scheduling noise).
-template <typename PerSourceFn>
-double ModeQps(const std::vector<NodeId>& sources, int reps,
-               PerSourceFn&& per_source) {
-  double best_seconds = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    Timer timer;
-    for (NodeId s : sources) per_source(s, rep == 0);
-    const double seconds = timer.ElapsedSeconds();
-    if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
-  }
-  return static_cast<double>(sources.size()) / best_seconds;
-}
+using bench::ModeQps;
+
+// The record's graph and run sizes; the config is set in RunHybridRecord.
+constexpr NodeId kNodes = 5000;
+constexpr std::uint64_t kEdges = 1000000;
+constexpr std::size_t kHubs = 8;
+constexpr std::size_t kTails = 16;
+constexpr int kReps = 2;              // best-of repetitions per mode
+constexpr std::size_t kVerified = 4;  // hub results audited against truth
 
 int RunHybridRecord(const std::string& json_path) {
-  const NodeId nodes =
-      static_cast<NodeId>(GetEnvInt("RESACC_HYBRID_NODES", 5000));
-  const std::uint64_t edges =
-      static_cast<std::uint64_t>(GetEnvInt("RESACC_HYBRID_EDGES", 1000000));
-  const std::size_t num_hubs =
-      static_cast<std::size_t>(GetEnvInt("RESACC_HYBRID_HUBS", 8));
-  const std::size_t num_tails =
-      static_cast<std::size_t>(GetEnvInt("RESACC_HYBRID_TAILS", 16));
-  const int reps =
-      std::max(1, static_cast<int>(GetEnvInt("RESACC_HYBRID_REPS", 2)));
-
   std::fprintf(stderr,
                "[bench_hybrid] generating hub bench graph (n=%u, m=%llu)...\n",
-               nodes, static_cast<unsigned long long>(edges));
-  const Graph graph = ChungLuPowerLaw(nodes, edges, 2.1, /*seed=*/7);
+               kNodes, static_cast<unsigned long long>(kEdges));
+  const Graph graph = ChungLuPowerLaw(kNodes, kEdges, 2.1, /*seed=*/7);
 
   RwrConfig config;
-  config.alpha = GetEnvDouble("RESACC_HYBRID_ALPHA", 0.15);
+  config.alpha = 0.15;
   config.epsilon = 0.5;
   // delta well above 1/n keeps the pure-local remedy phase affordable —
   // the degradation under test is the accumulating phase, not the walks.
-  config.delta = GetEnvDouble("RESACC_HYBRID_DELTA", 0.01);
+  config.delta = 0.01;
   config.p_f = 1e-3;
   config.dangling = DanglingPolicy::kAbsorb;
   config.seed = 7;
@@ -82,18 +62,17 @@ int RunHybridRecord(const std::string& json_path) {
   ResAccOptions local_options;
   ResAccOptions hybrid_options;
   hybrid_options.hybrid.enable = true;
-  hybrid_options.hybrid.cost_ratio = GetEnvDouble("RESACC_HYBRID_RATIO", 1.0);
 
   // Hub sources: the top of the out-degree order (their 1-hop sets floor
   // the adaptive cap). Tail sources: median and below, strided so they
   // spread over the quiet half of the degree distribution.
   const std::vector<NodeId> by_degree = graph.NodesByOutDegreeDesc();
   std::vector<NodeId> hubs;
-  for (std::size_t i = 0; i < num_hubs && i < by_degree.size(); ++i) {
+  for (std::size_t i = 0; i < kHubs && i < by_degree.size(); ++i) {
     hubs.push_back(by_degree[i]);
   }
   std::vector<NodeId> tails;
-  for (std::size_t i = 0; i < num_tails; ++i) {
+  for (std::size_t i = 0; i < kTails; ++i) {
     const std::size_t rank = by_degree.size() / 2 + i * 31;
     tails.push_back(by_degree[std::min(rank, by_degree.size() - 1)]);
   }
@@ -107,8 +86,8 @@ int RunHybridRecord(const std::string& json_path) {
   std::size_t next = 0;
 
   const double local_hub_qps = ModeQps(
-      hubs, reps, [&](NodeId s, bool) { local_solver.Query(s); });
-  const double hybrid_hub_qps = ModeQps(hubs, reps, [&](NodeId s, bool first) {
+      hubs, kReps, [&](NodeId s, bool) { local_solver.Query(s); });
+  const double hybrid_hub_qps = ModeQps(hubs, kReps, [&](NodeId s, bool first) {
     std::vector<Score> scores = hybrid_solver.Query(s);
     if (first) {
       if (hybrid_solver.last_stats().path != SolverPath::kLocal) ++hub_dense;
@@ -116,9 +95,9 @@ int RunHybridRecord(const std::string& json_path) {
     }
   });
   const double local_tail_qps = ModeQps(
-      tails, reps, [&](NodeId s, bool) { local_solver.Query(s); });
+      tails, kReps, [&](NodeId s, bool) { local_solver.Query(s); });
   const double hybrid_tail_qps =
-      ModeQps(tails, reps, [&](NodeId s, bool first) {
+      ModeQps(tails, kReps, [&](NodeId s, bool first) {
         hybrid_solver.Query(s);
         if (first && hybrid_solver.last_stats().path != SolverPath::kLocal) {
           ++tail_dense;
@@ -130,9 +109,7 @@ int RunHybridRecord(const std::string& json_path) {
   // guarantee is deterministic (additive error <= eps * delta), so any
   // single violation is a bug, not noise. Ground truth costs ~n + m per
   // sweep per source, so a subsample keeps the smoke fast.
-  const std::size_t verify = std::min(
-      hubs.size(),
-      static_cast<std::size_t>(GetEnvInt("RESACC_HYBRID_VERIFY", 4)));
+  const std::size_t verify = std::min(hubs.size(), kVerified);
   GroundTruthCache truth(graph, config);
   bool conformance_ok = true;
   for (std::size_t i = 0; i < verify; ++i) {
@@ -177,42 +154,36 @@ int RunHybridRecord(const std::string& json_path) {
   if (!hub_wins) std::printf("  GATE: hybrid did not beat local on hubs\n");
   if (!tail_ok) std::printf("  GATE: tail regression beyond noise\n");
 
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"hybrid_hub_vs_tail\",\n"
-                 "  \"graph\": {\"nodes\": %u, \"edges\": %llu,"
-                 " \"generator\": \"chung_lu_powerlaw_2.1\"},\n"
-                 "  \"config\": {\"alpha\": %g, \"epsilon\": %g,"
-                 " \"delta\": %g, \"p_f\": %g, \"cost_ratio\": %g},\n"
-                 "  \"hub_sources\": %zu,\n"
-                 "  \"tail_sources\": %zu,\n"
-                 "  \"local_hub_qps\": %.4f,\n"
-                 "  \"hybrid_hub_qps\": %.4f,\n"
-                 "  \"hub_speedup\": %.4f,\n"
-                 "  \"local_tail_qps\": %.4f,\n"
-                 "  \"hybrid_tail_qps\": %.4f,\n"
-                 "  \"tail_ratio\": %.4f,\n"
-                 "  \"hub_dense_selected\": %zu,\n"
-                 "  \"tail_dense_selected\": %zu,\n"
-                 "  \"verified_sources\": %zu,\n"
-                 "  \"conformance_ok\": %s\n"
-                 "}\n",
-                 graph.num_nodes(),
-                 static_cast<unsigned long long>(graph.num_edges()),
-                 config.alpha, config.epsilon, config.delta, config.p_f,
-                 hybrid_options.hybrid.cost_ratio, hubs.size(), tails.size(),
-                 local_hub_qps, hybrid_hub_qps,
-                 hybrid_hub_qps / local_hub_qps, local_tail_qps,
-                 hybrid_tail_qps, hybrid_tail_qps / local_tail_qps, hub_dense,
-                 tail_dense, verify, conformance_ok ? "true" : "false");
-    std::fclose(f);
-    std::printf("  record written to %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "[bench_hybrid] cannot write %s\n",
-                 json_path.c_str());
-    return 2;
-  }
+  JsonWriter json;
+  json.BeginObject().Field("bench", "hybrid_hub_vs_tail");
+  json.Key("graph")
+      .BeginObject()
+      .Field("nodes", graph.num_nodes())
+      .Field("edges", graph.num_edges())
+      .Field("generator", "chung_lu_powerlaw_2.1")
+      .EndObject();
+  json.Key("config")
+      .BeginObject()
+      .Field("alpha", config.alpha)
+      .Field("epsilon", config.epsilon)
+      .Field("delta", config.delta)
+      .Field("p_f", config.p_f)
+      .Field("cost_ratio", hybrid_options.hybrid.cost_ratio)
+      .EndObject();
+  json.Field("hub_sources", hubs.size())
+      .Field("tail_sources", tails.size())
+      .Field("local_hub_qps", local_hub_qps)
+      .Field("hybrid_hub_qps", hybrid_hub_qps)
+      .Field("hub_speedup", hybrid_hub_qps / local_hub_qps)
+      .Field("local_tail_qps", local_tail_qps)
+      .Field("hybrid_tail_qps", hybrid_tail_qps)
+      .Field("tail_ratio", hybrid_tail_qps / local_tail_qps)
+      .Field("hub_dense_selected", hub_dense)
+      .Field("tail_dense_selected", tail_dense)
+      .Field("verified_sources", verify)
+      .Field("conformance_ok", conformance_ok)
+      .EndObject();
+  if (!bench::WriteRecord(json_path, json)) return 2;
   return (all_hubs_dense && hub_wins && tail_ok && conformance_ok) ? 0 : 1;
 }
 
@@ -220,12 +191,8 @@ int RunHybridRecord(const std::string& json_path) {
 }  // namespace resacc
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_hybrid.json";
-  constexpr const char kFlag[] = "--hybrid_json=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
-      json_path = argv[i] + sizeof(kFlag) - 1;
-    }
-  }
-  return resacc::RunHybridRecord(json_path);
+  const std::string json_path =
+      resacc::bench::TakeFlag(argc, argv, "hybrid_json");
+  return resacc::RunHybridRecord(json_path.empty() ? "BENCH_hybrid.json"
+                                                   : json_path);
 }

@@ -9,11 +9,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "resacc/core/forward_push.h"
 #include "resacc/core/h_hop_fwd.h"
 #include "resacc/core/random_walk.h"
@@ -365,48 +365,39 @@ int WriteWalkEngineJson(const std::string& path) {
             g, config, 0, 0, inv_log1m_alpha, rng, stats));
       });
 
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
+  JsonWriter json;
+  json.BeginObject().Field("bench", "walk_engine");
+  json.Key("graph")
+      .BeginObject()
+      .Field("nodes", g.num_nodes())
+      .Field("edges", g.num_edges())
+      .EndObject();
+  json.Field("block_walks", WalkEngine::kBlockWalks)
+      .Field("host_hardware_concurrency", std::thread::hardware_concurrency())
+      .Field("timed_runs", kWalkEngineTimedRuns)
+      .Field("all_bit_identical", all_identical);
+  json.Key("thread_sweep").BeginArray();
+  for (const Sweep& s : sweeps) {
+    json.BeginObject()
+        .Field("walk_threads", s.threads)
+        .Field("seconds", s.seconds)
+        .Field("walks", s.stats.walks)
+        .Field("walks_per_sec", static_cast<double>(s.stats.walks) / s.seconds)
+        .Field("steps_per_sec", static_cast<double>(s.stats.steps) / s.seconds)
+        .Field("speedup", sweeps[0].seconds / s.seconds)
+        .Field("reorder_stalls", s.stats.reorder_stalls)
+        .Field("bit_identical", s.bit_identical)
+        .EndObject();
   }
-  std::fprintf(file,
-               "{\n"
-               "  \"bench\": \"walk_engine\",\n"
-               "  \"graph\": {\"nodes\": %u, \"edges\": %llu},\n"
-               "  \"block_walks\": %llu,\n"
-               "  \"host_hardware_concurrency\": %u,\n"
-               "  \"timed_runs\": %d,\n"
-               "  \"all_bit_identical\": %s,\n"
-               "  \"thread_sweep\": [\n",
-               g.num_nodes(),
-               static_cast<unsigned long long>(g.num_edges()),
-               static_cast<unsigned long long>(WalkEngine::kBlockWalks),
-               std::thread::hardware_concurrency(), kWalkEngineTimedRuns,
-               all_identical ? "true" : "false");
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    const Sweep& s = sweeps[i];
-    std::fprintf(
-        file,
-        "    {\"walk_threads\": %zu, \"seconds\": %.6f, \"walks\": %llu, "
-        "\"walks_per_sec\": %.0f, \"steps_per_sec\": %.0f, "
-        "\"speedup\": %.3f, \"reorder_stalls\": %llu, "
-        "\"bit_identical\": %s}%s\n",
-        s.threads, s.seconds, static_cast<unsigned long long>(s.stats.walks),
-        static_cast<double>(s.stats.walks) / s.seconds,
-        static_cast<double>(s.stats.steps) / s.seconds,
-        sweeps[0].seconds / s.seconds,
-        static_cast<unsigned long long>(s.stats.reorder_stalls),
-        s.bit_identical ? "true" : "false", i + 1 < sweeps.size() ? "," : "");
-  }
-  std::fprintf(file,
-               "  ],\n"
-               "  \"sampling\": {\"per_step_walks_per_sec\": %.0f, "
-               "\"geometric_walks_per_sec\": %.0f, \"speedup\": %.3f}\n"
-               "}\n",
-               per_step, geometric, geometric / per_step);
-  std::fclose(file);
-  std::printf("wrote %s\n", path.c_str());
+  json.EndArray();
+  json.Key("sampling")
+      .BeginObject()
+      .Field("per_step_walks_per_sec", per_step)
+      .Field("geometric_walks_per_sec", geometric)
+      .Field("speedup", geometric / per_step)
+      .EndObject()
+      .EndObject();
+  if (!bench::WriteRecord(path, json)) return 2;
   return all_identical ? 0 : 1;
 }
 
@@ -476,38 +467,30 @@ int WriteGraphIoJson(const std::string& path) {
            SameCsr(graph, loaded.value());
   });
 
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
+  JsonWriter json;
+  json.BeginObject().Field("bench", "graph_io");
+  json.Key("graph")
+      .BeginObject()
+      .Field("nodes", graph.num_nodes())
+      .Field("edges", graph.num_edges())
+      .EndObject();
+  json.Field("parse_threads", std::thread::hardware_concurrency())
+      .Field("all_loads_bit_identical", all_identical);
+  json.Key("operations").BeginArray();
+  for (const Row& row : rows) {
+    json.BeginObject()
+        .Field("op", row.op)
+        .Field("seconds", row.seconds)
+        .Field("edges_per_sec",
+               static_cast<double>(graph.num_edges()) / row.seconds)
+        .Field("ok", row.identical)
+        .EndObject();
   }
-  std::fprintf(file,
-               "{\n"
-               "  \"bench\": \"graph_io\",\n"
-               "  \"graph\": {\"nodes\": %u, \"edges\": %llu},\n"
-               "  \"parse_threads\": %u,\n"
-               "  \"all_loads_bit_identical\": %s,\n"
-               "  \"operations\": [\n",
-               graph.num_nodes(),
-               static_cast<unsigned long long>(graph.num_edges()),
-               std::thread::hardware_concurrency(),
-               all_identical ? "true" : "false");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    std::fprintf(file,
-                 "    {\"op\": \"%s\", \"seconds\": %.6f, "
-                 "\"edges_per_sec\": %.0f, \"ok\": %s}%s\n",
-                 row.op, row.seconds,
-                 static_cast<double>(graph.num_edges()) / row.seconds,
-                 row.identical ? "true" : "false",
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(file, "  ]\n}\n");
-  std::fclose(file);
+  json.EndArray().EndObject();
   std::remove(text_path.c_str());
   std::remove(bin_path.c_str());
   std::remove(rsg_path.c_str());
-  std::printf("wrote %s\n", path.c_str());
+  if (!bench::WriteRecord(path, json)) return 2;
   return all_identical ? 0 : 1;
 }
 
@@ -674,56 +657,59 @@ int WriteDynamicJson(const std::string& path) {
       RunChurnWorkload(ServeOptions::InvalidationMode::kFlushAll);
   const bool strictly_higher = targeted.hits > flush.hits;
 
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
   const auto rate = [](std::size_t hits, std::size_t queries) {
     return queries > 0
                ? static_cast<double>(hits) / static_cast<double>(queries)
                : 0.0;
   };
-  std::fprintf(
-      file,
-      "{\n"
-      "  \"bench\": \"dynamic\",\n"
-      "  \"graph\": {\"nodes\": %u, \"edges\": 200000},\n"
-      "  \"mutation_throughput\": {\n"
-      "    \"single_ops\": %zu, \"single_ops_per_sec\": %.0f,\n"
-      "    \"batched_ops\": %zu, \"batch_size\": %zu, "
-      "\"batched_ops_per_sec\": %.0f\n"
-      "  },\n"
-      "  \"compaction\": {\"seconds\": %.6f, \"folded_rows\": %zu, "
-      "\"overlay_rows_before\": %zu, \"generation\": %llu},\n",
-      n, single_ops,
-      static_cast<double>(single_ops) / single_seconds,
-      kBatch * num_batches, kBatch,
-      static_cast<double>(kBatch * num_batches) / batch_seconds,
-      compact_seconds, fold.folded_rows, before_fold.overlay_rows,
-      static_cast<unsigned long long>(fold.generation));
-  std::fprintf(
-      file,
-      "  \"churn_cache\": {\n"
-      "    \"queries\": %zu, \"zipf_theta\": 0.99, "
-      "\"mutation_batches\": %zu, \"batch_size\": %zu,\n"
-      "    \"targeted\": {\"hits\": %zu, \"hit_rate\": %.4f, "
-      "\"promoted\": %llu, \"dropped\": %llu},\n"
-      "    \"flush_all\": {\"hits\": %zu, \"hit_rate\": %.4f, "
-      "\"dropped\": %llu},\n"
-      "    \"targeted_strictly_higher\": %s\n"
-      "  }\n"
-      "}\n",
-      kChurnQueries, targeted.mutation_batches, kChurnBatch, targeted.hits,
-      rate(targeted.hits, targeted.queries),
-      static_cast<unsigned long long>(targeted.promoted),
-      static_cast<unsigned long long>(targeted.dropped), flush.hits,
-      rate(flush.hits, flush.queries),
-      static_cast<unsigned long long>(flush.dropped),
-      strictly_higher ? "true" : "false");
-  std::fclose(file);
-  std::printf("wrote %s (targeted hits %zu vs flush %zu)\n", path.c_str(),
-              targeted.hits, flush.hits);
+  JsonWriter json;
+  json.BeginObject().Field("bench", "dynamic");
+  json.Key("graph")
+      .BeginObject()
+      .Field("nodes", n)
+      .Field("edges", 200000)
+      .EndObject();
+  json.Key("mutation_throughput")
+      .BeginObject()
+      .Field("single_ops", single_ops)
+      .Field("single_ops_per_sec",
+             static_cast<double>(single_ops) / single_seconds)
+      .Field("batched_ops", kBatch * num_batches)
+      .Field("batch_size", kBatch)
+      .Field("batched_ops_per_sec",
+             static_cast<double>(kBatch * num_batches) / batch_seconds)
+      .EndObject();
+  json.Key("compaction")
+      .BeginObject()
+      .Field("seconds", compact_seconds)
+      .Field("folded_rows", fold.folded_rows)
+      .Field("overlay_rows_before", before_fold.overlay_rows)
+      .Field("generation", fold.generation)
+      .EndObject();
+  json.Key("churn_cache")
+      .BeginObject()
+      .Field("queries", kChurnQueries)
+      .Field("zipf_theta", 0.99)
+      .Field("mutation_batches", targeted.mutation_batches)
+      .Field("batch_size", kChurnBatch);
+  json.Key("targeted")
+      .BeginObject()
+      .Field("hits", targeted.hits)
+      .Field("hit_rate", rate(targeted.hits, targeted.queries))
+      .Field("promoted", targeted.promoted)
+      .Field("dropped", targeted.dropped)
+      .EndObject();
+  json.Key("flush_all")
+      .BeginObject()
+      .Field("hits", flush.hits)
+      .Field("hit_rate", rate(flush.hits, flush.queries))
+      .Field("dropped", flush.dropped)
+      .EndObject();
+  json.Field("targeted_strictly_higher", strictly_higher)
+      .EndObject()
+      .EndObject();
+  if (!bench::WriteRecord(path, json)) return 2;
+  std::printf("targeted hits %zu vs flush %zu\n", targeted.hits, flush.hits);
   if (!strictly_higher) {
     std::fprintf(stderr,
                  "dynamic bench: targeted invalidation did not beat "
@@ -741,37 +727,29 @@ int WriteDynamicJson(const std::string& path) {
 // --dynamic_json=PATH the live-graph mutation/compaction/invalidation
 // record. Each exits 1 if its built-in assertion fails (bitwise identity
 // for the first two, targeted-beats-flush for the dynamic one) — these
-// are the CI smoke test's assertions.
+// are the CI smoke test's assertions — and 2 if it cannot be written in
+// full.
 int main(int argc, char** argv) {
-  std::string walk_json_path;
-  std::string io_json_path;
-  std::string dynamic_json_path;
-  int argc_out = 0;
-  for (int i = 0; i < argc; ++i) {
-    constexpr char kWalkFlag[] = "--walk_engine_json=";
-    constexpr char kIoFlag[] = "--graph_io_json=";
-    constexpr char kDynamicFlag[] = "--dynamic_json=";
-    if (std::strncmp(argv[i], kWalkFlag, sizeof(kWalkFlag) - 1) == 0) {
-      walk_json_path = argv[i] + sizeof(kWalkFlag) - 1;
-    } else if (std::strncmp(argv[i], kIoFlag, sizeof(kIoFlag) - 1) == 0) {
-      io_json_path = argv[i] + sizeof(kIoFlag) - 1;
-    } else if (std::strncmp(argv[i], kDynamicFlag,
-                            sizeof(kDynamicFlag) - 1) == 0) {
-      dynamic_json_path = argv[i] + sizeof(kDynamicFlag) - 1;
-    } else {
-      argv[argc_out++] = argv[i];
-    }
-  }
-  argc = argc_out;
+  const std::string walk_json_path =
+      bench::TakeFlag(argc, argv, "walk_engine_json");
+  const std::string io_json_path = bench::TakeFlag(argc, argv, "graph_io_json");
+  const std::string dynamic_json_path =
+      bench::TakeFlag(argc, argv, "dynamic_json");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
+  // The worst outcome wins: 2 (a record not written) over 1 (a failed
+  // assertion) over 0.
   int exit_code = 0;
-  if (!walk_json_path.empty()) exit_code |= WriteWalkEngineJson(walk_json_path);
-  if (!io_json_path.empty()) exit_code |= WriteGraphIoJson(io_json_path);
+  if (!walk_json_path.empty()) {
+    exit_code = std::max(exit_code, WriteWalkEngineJson(walk_json_path));
+  }
+  if (!io_json_path.empty()) {
+    exit_code = std::max(exit_code, WriteGraphIoJson(io_json_path));
+  }
   if (!dynamic_json_path.empty()) {
-    exit_code |= WriteDynamicJson(dynamic_json_path);
+    exit_code = std::max(exit_code, WriteDynamicJson(dynamic_json_path));
   }
   return exit_code;
 }

@@ -17,16 +17,24 @@
 //
 // --check gates the report against --bounds (default
 // bench/workload/baseline.bounds) and exits nonzero on any violation;
-// that is the CI serving-regression gate.
+// that is the CI serving-regression gate. An unknown option exits 2
+// before the graph is built, and so does a report that cannot be written
+// in full, after the run.
+//
+// Run once with --cache-mb=0 --no-coalesce and once with the defaults on
+// a Zipfian spec to measure what the result cache and single-flight
+// coalescing save through the same QueryService.
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "resacc/core/rwr_config.h"
 #include "resacc/graph/dynamic/mutable_graph_view.h"
 #include "resacc/graph/generators.h"
 #include "resacc/serve/query_service.h"
 #include "resacc/util/args.h"
+#include "resacc/util/json.h"
 #include "resacc/workload/driver.h"
 #include "resacc/workload/workload_spec.h"
 
@@ -46,12 +54,6 @@ int main(int argc, char** argv) {
 
   const NodeId nodes = static_cast<NodeId>(args.GetInt("nodes", 100000));
   const EdgeId edges = static_cast<EdgeId>(args.GetInt("edges", 1000000));
-  std::fprintf(stderr, "[bench_workload] generating graph: %u nodes, "
-               "%llu edges...\n", nodes,
-               static_cast<unsigned long long>(edges));
-  Graph graph = ChungLuPowerLaw(nodes, edges, 2.1, /*seed=*/7);
-  const RwrConfig config = RwrConfig::ForGraphSize(graph.num_nodes());
-
   ServeOptions options;
   options.num_workers = static_cast<std::size_t>(args.GetInt("workers", 0));
   options.queue_capacity =
@@ -63,6 +65,22 @@ int main(int argc, char** argv) {
   for (const TenantSpec& tenant : spec.value().tenants) {
     options.tenant_weights.emplace_back(tenant.name, tenant.weight);
   }
+  const std::string out_path =
+      args.GetString("out", "BENCH_workload.json");
+  const bool check = args.HasFlag("check");
+  const std::string bounds =
+      args.GetString("bounds", "bench/workload/baseline.bounds");
+  const std::vector<std::string> unknown = args.UnusedOptions();
+  for (const std::string& name : unknown) {
+    std::fprintf(stderr, "bench_workload: unknown option --%s\n", name.c_str());
+  }
+  if (!unknown.empty()) return 2;
+
+  std::fprintf(stderr, "[bench_workload] generating graph: %u nodes, "
+               "%llu edges...\n", nodes,
+               static_cast<unsigned long long>(edges));
+  Graph graph = ChungLuPowerLaw(nodes, edges, 2.1, /*seed=*/7);
+  const RwrConfig config = RwrConfig::ForGraphSize(graph.num_nodes());
 
   MutableGraphView view(graph.ShallowView());
   QueryService service(view.Snapshot(), config, options);
@@ -75,18 +93,12 @@ int main(int argc, char** argv) {
       WorkloadDriver(spec.value(), &transport, graph.num_nodes()).Run();
   report.spec_origin = spec_path;
 
-  const std::string out_path =
-      args.GetString("out", "BENCH_workload.json");
-  const std::string json = report.ToJson();
-  if (FILE* out = std::fopen(out_path.c_str(), "w")) {
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::fprintf(stderr, "[bench_workload] wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "bench_workload: cannot write %s\n",
-                 out_path.c_str());
-    return 1;
+  const Status written = WriteTextFile(out_path, report.ToJson() + "\n");
+  if (!written.ok()) {
+    std::fprintf(stderr, "bench_workload: %s\n", written.ToString().c_str());
+    return 2;
   }
+  std::fprintf(stderr, "[bench_workload] wrote %s\n", out_path.c_str());
   // Headline numbers on stdout; the JSON has the full breakdown.
   std::printf("wall=%.1fs sent=%llu ok=%llu errors=%llu qps=%.1f\n",
               report.wall_seconds,
@@ -102,9 +114,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(report.computed_ok[t]));
   }
 
-  if (args.HasFlag("check")) {
-    const std::string bounds =
-        args.GetString("bounds", "bench/workload/baseline.bounds");
+  if (check) {
     const Status verdict = CheckBoundsFile(report, bounds);
     if (!verdict.ok()) {
       std::fprintf(stderr, "bench_workload: %s\n",

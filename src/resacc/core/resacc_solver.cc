@@ -19,19 +19,24 @@ namespace {
 // atomics — safe to leave on for every query.
 struct SolverMetrics {
   Counter& queries;
+  Counter& topk_queries;
   Counter& degraded;
   Counter& cancelled;
   LatencyHistogram& hhop;
   LatencyHistogram& omfwd;
   LatencyHistogram& remedy;
   LatencyHistogram& dense;
+  LatencyHistogram& topk;
   LatencyHistogram& total;
 
   static SolverMetrics& Get() {
     MetricsRegistry& registry = MetricsRegistry::Global();
     static SolverMetrics metrics{
         registry.GetCounter("resacc_solver_queries_total", "",
-                            "Single-source RWR queries answered."),
+                            "Full-vector single-source RWR queries "
+                            "answered."),
+        registry.GetCounter("resacc_topk_queries_total", "",
+                            "Top-k RWR queries answered (solver level)."),
         registry.GetCounter(
             "resacc_solver_queries_degraded_total", "",
             "Queries that returned with uncorrected residual mass "
@@ -49,6 +54,8 @@ struct SolverMetrics {
                               "phase=\"remedy\""),
         registry.GetHistogram("resacc_solver_phase_seconds",
                               "phase=\"dense\""),
+        registry.GetHistogram("resacc_solver_phase_seconds",
+                              "phase=\"topk\""),
         registry.GetHistogram("resacc_solver_query_seconds", "",
                               "End-to-end single-source query latency."),
     };
@@ -128,6 +135,7 @@ ControlledQueryResult ResAccSolver::Finish(NodeId source, std::size_t k,
   const auto start_phase = [&](const char* phase) {
     if (options_.phase_hook) options_.phase_hook(phase);
   };
+  SolverMetrics& metrics = SolverMetrics::Get();
   Rng query_rng = Rng(config_.seed).Fork(source);
   ControlledQueryResult result;
   result.status = push_status;
@@ -146,6 +154,7 @@ ControlledQueryResult ResAccSolver::Finish(NodeId source, std::size_t k,
     }
     last_stats_.dense = dense.stats;
     last_stats_.dense_seconds = phase.ElapsedSeconds();
+    metrics.dense.Record(last_stats_.dense_seconds);
     if (dense.stats.cancelled) result.status = cancel->StopStatus();
     uncorrected = dense.uncorrected_mass;
     if (topk != nullptr) {
@@ -165,6 +174,7 @@ ControlledQueryResult ResAccSolver::Finish(NodeId source, std::size_t k,
                                options_.walk_scale, options_.topk, state_,
                                query_rng, &walk_engine_, cancel, push_status);
     last_stats_.remedy_seconds = phase.ElapsedSeconds();
+    metrics.topk.Record(last_stats_.remedy_seconds);
     result.status = topk->status;
     uncorrected = topk->uncorrected_mass;
   } else if (!push_status.ok()) {
@@ -186,6 +196,7 @@ ControlledQueryResult ResAccSolver::Finish(NodeId source, std::size_t k,
           cancel);
     }
     last_stats_.remedy_seconds = phase.ElapsedSeconds();
+    metrics.remedy.Record(last_stats_.remedy_seconds);
     if (last_stats_.remedy.cancelled) result.status = cancel->StopStatus();
     uncorrected = last_stats_.remedy.uncorrected_mass;
   }
@@ -201,30 +212,29 @@ std::vector<Score> ResAccSolver::Query(NodeId source) {
 
 ControlledQueryResult ResAccSolver::QueryControlled(
     NodeId source, const QueryControl& control) {
+  return Solve(source, /*k=*/0, control, nullptr);
+}
+
+ControlledQueryResult ResAccSolver::Solve(NodeId source, std::size_t k,
+                                          const QueryControl& control,
+                                          TopKResult* topk) {
   RESACC_CHECK(source < graph_.num_nodes());
-  RESACC_SPAN("query");
+  RESACC_SPAN(topk == nullptr ? "query" : "query_topk");
   last_stats_ = ResAccQueryStats();
   Timer total;
   const Status push_status = RunPushPhases(source, control.cancel);
   ControlledQueryResult result =
-      Finish(source, /*k=*/0, push_status, control.cancel, nullptr);
+      Finish(source, k, push_status, control.cancel, topk);
+  last_stats_.total_seconds = total.ElapsedSeconds();
 
-  // Every return path — complete, degraded or cancelled — counts here, so
-  // queries_total and the query histogram stay consistent with the
-  // per-phase histograms after an abort (each phase records iff it
+  // Every solve, full or top-k and complete, degraded or cancelled, counts
+  // here once, so the query counters and the query histogram stay
+  // consistent with the per-phase histograms (each phase records iff it
   // started).
   SolverMetrics& metrics = SolverMetrics::Get();
-  if (push_status.ok()) {
-    if (last_stats_.path != SolverPath::kLocal) {
-      metrics.dense.Record(last_stats_.dense_seconds);
-    } else {
-      metrics.remedy.Record(last_stats_.remedy_seconds);
-    }
-  }
+  (topk == nullptr ? metrics.queries : metrics.topk_queries).Increment();
   if (result.degraded) metrics.degraded.Increment();
   if (!result.status.ok()) metrics.cancelled.Increment();
-  last_stats_.total_seconds = total.ElapsedSeconds();
-  metrics.queries.Increment();
   metrics.total.Record(last_stats_.total_seconds);
   return result;
 }
@@ -296,14 +306,8 @@ Status ResAccSolver::RunPushPhases(NodeId source,
 
 TopKResult ResAccSolver::QueryTopK(NodeId source, std::size_t k,
                                    const QueryControl& control) {
-  RESACC_CHECK(source < graph_.num_nodes());
-  RESACC_SPAN("query_topk");
-  last_stats_ = ResAccQueryStats();
-  Timer total;
-  const Status push_status = RunPushPhases(source, control.cancel);
   TopKResult result;
-  Finish(source, k, push_status, control.cancel, &result);
-  last_stats_.total_seconds = total.ElapsedSeconds();
+  Solve(source, k, control, &result);
   return result;
 }
 

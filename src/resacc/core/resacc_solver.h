@@ -133,6 +133,12 @@ class ResAccSolver : public SsrwrAlgorithm {
   const ResAccOptions& options() const { return options_; }
 
  private:
+  // One query of either mode: the push phases, then Finish (a top-k
+  // answer when `topk` is non-null, see Finish), then the solve's one
+  // record in the query counters and the query histogram.
+  ControlledQueryResult Solve(NodeId source, std::size_t k,
+                              const QueryControl& control, TopKResult* topk);
+
   // Phases 1-2 of Algorithm 2 (h-HopFWD + OMFWD) on a reset state_, with
   // the usual per-phase stats/metrics/hooks. Returns the stop status: OK
   // when both phases completed, the token's status when one was cut short
@@ -157,7 +163,8 @@ class ResAccSolver : public SsrwrAlgorithm {
   // A non-null `topk` asks for a top-k answer: it receives the
   // TopKResult, and the returned result carries only the status and
   // accuracy tags. Calls the phase_hook ("dense", "remedy" or "topk") as
-  // its phase starts and records the phase's diagnostics in last_stats_.
+  // its phase starts, and records the phase's diagnostics in last_stats_
+  // and its latency in the phase histogram.
   ControlledQueryResult Finish(NodeId source, std::size_t k,
                                const Status& push_status,
                                const CancellationToken* cancel,

@@ -15,7 +15,6 @@ namespace {
 // Same function-local-static idiom as SolverMetrics (resacc_solver.cc):
 // registered once, relaxed atomics per record.
 struct TopKMetrics {
-  Counter& queries;
   Counter& certified;
   Counter& fallback_priced;
   Counter& fallback_floor;
@@ -25,8 +24,6 @@ struct TopKMetrics {
   static TopKMetrics& Get() {
     MetricsRegistry& registry = MetricsRegistry::Global();
     static TopKMetrics metrics{
-        registry.GetCounter("resacc_topk_queries_total", "",
-                            "Top-k RWR queries answered (solver level)."),
         registry.GetCounter(
             "resacc_topk_certified_total", "",
             "Top-k queries answered by a separation certificate "
@@ -140,7 +137,6 @@ TopKResult SolveTopKFromState(const Graph& graph, const RwrConfig& config,
                               const Status& push_status) {
   RESACC_SPAN("topk_solve");
   TopKMetrics& metrics = TopKMetrics::Get();
-  metrics.queries.Increment();
 
   const NodeId n = graph.num_nodes();
   TopKResult result;

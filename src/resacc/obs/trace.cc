@@ -2,8 +2,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <utility>
+
+#include "resacc/util/json.h"
 
 namespace resacc {
 namespace {
@@ -32,36 +33,21 @@ ThreadTraceBuffer& Buffer() {
   return buffer;
 }
 
-void AppendJsonEscaped(std::string& out, const char* text) {
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out += '\\';
-    out += *p;
-  }
-}
-
-void AppendSpan(std::string& out, const std::vector<TraceEvent>& events,
-                const std::vector<std::vector<std::int32_t>>& children,
-                std::int32_t index, int depth, int indent) {
-  const std::string pad(static_cast<std::size_t>(depth * indent), ' ');
+void WriteSpan(const std::vector<TraceEvent>& events,
+               const std::vector<std::vector<std::int32_t>>& children,
+               std::int32_t index, JsonWriter& out) {
   const TraceEvent& event = events[static_cast<std::size_t>(index)];
-  char buf[96];
-  out += pad + "{\"name\": \"";
-  AppendJsonEscaped(out, event.name);
-  std::snprintf(buf, sizeof(buf),
-                "\", \"start_seconds\": %.9f, \"duration_seconds\": %.9f",
-                event.start_seconds, event.duration_seconds);
-  out += buf;
+  out.BeginObject()
+      .Field("name", event.name)
+      .Field("start_seconds", event.start_seconds)
+      .Field("duration_seconds", event.duration_seconds);
   const auto& kids = children[static_cast<std::size_t>(index)];
-  if (kids.empty()) {
-    out += "}";
-    return;
+  if (!kids.empty()) {
+    out.Key("children").BeginArray();
+    for (const std::int32_t kid : kids) WriteSpan(events, children, kid, out);
+    out.EndArray();
   }
-  out += ", \"children\": [\n";
-  for (std::size_t i = 0; i < kids.size(); ++i) {
-    AppendSpan(out, events, children, kids[i], depth + 1, indent);
-    out += i + 1 < kids.size() ? ",\n" : "\n";
-  }
-  out += pad + "]}";
+  out.EndObject();
 }
 
 }  // namespace
@@ -91,8 +77,14 @@ std::vector<TraceEvent> Trace::DrainThreadEvents() {
 
 std::uint64_t Trace::DroppedThreadEvents() { return Buffer().dropped; }
 
-std::string Trace::ToJson(const std::vector<TraceEvent>& events,
-                          int indent) {
+std::string Trace::ToJson(const std::vector<TraceEvent>& events) {
+  JsonWriter out;
+  WriteJson(events, out);
+  return out.str();
+}
+
+void Trace::WriteJson(const std::vector<TraceEvent>& events,
+                      JsonWriter& out) {
   std::vector<std::vector<std::int32_t>> children(events.size());
   std::vector<std::int32_t> roots;
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -104,14 +96,9 @@ std::string Trace::ToJson(const std::vector<TraceEvent>& events,
           static_cast<std::int32_t>(i));
     }
   }
-  std::string out = "[";
-  if (!roots.empty()) out += "\n";
-  for (std::size_t i = 0; i < roots.size(); ++i) {
-    AppendSpan(out, events, children, roots[i], 1, indent);
-    out += i + 1 < roots.size() ? ",\n" : "\n";
-  }
-  out += "]";
-  return out;
+  out.BeginArray();
+  for (const std::int32_t root : roots) WriteSpan(events, children, root, out);
+  out.EndArray();
 }
 
 SpanScope::SpanScope(const char* name) {

@@ -7,6 +7,8 @@
 
 namespace resacc {
 
+class JsonWriter;
+
 // One completed (or still-open) span, as recorded in a thread's buffer.
 // `parent` indexes the same vector (-1 for a root span); events appear in
 // span-open order, so a parent always precedes its children.
@@ -53,8 +55,10 @@ class Trace {
   //    "children": [...]}
   // ordered by span-open time. This is the `spans` payload of the
   // `resacc_cli --trace-json` schema (docs/OBSERVABILITY.md).
-  static std::string ToJson(const std::vector<TraceEvent>& events,
-                            int indent = 2);
+  static std::string ToJson(const std::vector<TraceEvent>& events);
+  // The same array, written as the next value of `out`.
+  static void WriteJson(const std::vector<TraceEvent>& events,
+                        JsonWriter& out);
 };
 
 // RAII span: records an event on construction (when tracing is enabled)

@@ -46,6 +46,13 @@ std::vector<double> LaneWeights(const ServeOptions& options) {
 
 }  // namespace
 
+bool IsValidTenantName(std::string_view name) {
+  return !name.empty() && name != "default" &&
+         name.find_first_not_of("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                                "abcdefghijklmnopqrstuvwxyz0123456789_.-") ==
+             std::string_view::npos;
+}
+
 QueryService::QueryService(const Graph& graph, const RwrConfig& config,
                            const ServeOptions& options)
     : config_(config),
@@ -170,7 +177,7 @@ QueryService::QueryService(const Graph& graph, const RwrConfig& config,
     tenant_names_.reserve(options_.tenant_weights.size() + 1);
     for (const auto& [name, weight] : options_.tenant_weights) {
       RESACC_CHECK(weight > 0.0);
-      RESACC_CHECK(!name.empty() && name != "default");
+      RESACC_CHECK(IsValidTenantName(name));
       for (const std::string& seen : tenant_names_) {
         RESACC_CHECK(seen != name);  // duplicate tenant
       }

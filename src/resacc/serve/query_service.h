@@ -9,6 +9,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -56,8 +57,9 @@ struct ServeOptions {
   // (including default) also gets labeled series on the registry:
   // `<prefix>_tenant_{submitted,completed,rejected}_total{tenant="x"}`
   // and `<prefix>_tenant_latency_seconds{tenant="x"}`. Names must be
-  // unique and weights positive. Empty (the default) keeps the single
-  // FIFO lane and registers no tenant series.
+  // unique and pass IsValidTenantName, and weights must be positive.
+  // Empty (the default) keeps the single FIFO lane and registers no
+  // tenant series.
   std::vector<std::pair<std::string, double>> tenant_weights;
 
   // Byte budget of the result cache (score payload bytes); 0 disables
@@ -142,6 +144,12 @@ struct ServeOptions {
   // `resacc_serve_completed_total`.
   std::string metrics_prefix = "resacc_serve";
 };
+
+// A tenant name is one or more of [A-Za-z0-9_.-], and not "default" (the
+// implicit lane): it becomes a Prometheus label value and a JSON key, so
+// resacc_serve --tenants and the workload spec's `tenant NAME` check it
+// where the name enters.
+bool IsValidTenantName(std::string_view name);
 
 struct QueryRequest {
   NodeId source = 0;

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "resacc/util/check.h"
+#include "resacc/util/json.h"
 #include "resacc/util/timer.h"
 
 namespace resacc {
@@ -17,27 +18,33 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string JsonStats(const OpStats& s) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"sent\":%llu,\"ok\":%llu,\"rejected\":%llu,"
-      "\"deadline_exceeded\":%llu,\"errors\":%llu,\"degraded\":%llu,"
-      "\"stale\":%llu,\"cache_hits\":%llu,\"certified\":%llu,"
-      "\"mean_ms\":%.4f,\"p50_ms\":%.4f,\"p99_ms\":%.4f,\"p999_ms\":%.4f,"
-      "\"max_ms\":%.4f}",
-      static_cast<unsigned long long>(s.sent),
-      static_cast<unsigned long long>(s.ok),
-      static_cast<unsigned long long>(s.rejected),
-      static_cast<unsigned long long>(s.deadline_exceeded),
-      static_cast<unsigned long long>(s.errors),
-      static_cast<unsigned long long>(s.degraded),
-      static_cast<unsigned long long>(s.stale),
-      static_cast<unsigned long long>(s.cache_hits),
-      static_cast<unsigned long long>(s.certified), s.latency.mean * 1e3,
-      s.latency.p50 * 1e3, s.latency.p99 * 1e3, s.latency.p999 * 1e3,
-      s.latency.max * 1e3);
-  return buf;
+void WriteStats(const OpStats& s, JsonWriter& out) {
+  out.BeginObject()
+      .Field("sent", s.sent)
+      .Field("ok", s.ok)
+      .Field("rejected", s.rejected)
+      .Field("deadline_exceeded", s.deadline_exceeded)
+      .Field("errors", s.errors)
+      .Field("degraded", s.degraded)
+      .Field("stale", s.stale)
+      .Field("cache_hits", s.cache_hits)
+      .Field("certified", s.certified)
+      .Field("mean_ms", s.latency.mean * 1e3)
+      .Field("p50_ms", s.latency.p50 * 1e3)
+      .Field("p99_ms", s.latency.p99 * 1e3)
+      .Field("p999_ms", s.latency.p999 * 1e3)
+      .Field("max_ms", s.latency.max * 1e3)
+      .EndObject();
+}
+
+void WriteClasses(const std::array<OpStats, kNumOpClasses>& classes,
+                  JsonWriter& out) {
+  out.Key("classes").BeginObject();
+  for (std::size_t c = 0; c < kNumOpClasses; ++c) {
+    out.Key(OpClassName(static_cast<OpClass>(c)));
+    WriteStats(classes[c], out);
+  }
+  out.EndObject();
 }
 
 }  // namespace
@@ -74,42 +81,28 @@ std::uint64_t WorkloadReport::TotalErrors() const {
 }
 
 std::string WorkloadReport::ToJson() const {
-  std::ostringstream out;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "{\n  \"spec\": \"%s\",\n  \"wall_seconds\": %.3f,\n"
-                "  \"seed\": %llu,\n",
-                spec_origin.c_str(), wall_seconds,
-                static_cast<unsigned long long>(seed));
-  out << buf;
   const double qps =
       wall_seconds > 0.0 ? static_cast<double>(TotalOk()) / wall_seconds : 0.0;
-  std::snprintf(buf, sizeof(buf),
-                "  \"totals\": {\"sent\": %llu, \"ok\": %llu, "
-                "\"errors\": %llu, \"qps\": %.1f},\n",
-                static_cast<unsigned long long>(TotalSent()),
-                static_cast<unsigned long long>(TotalOk()),
-                static_cast<unsigned long long>(TotalErrors()), qps);
-  out << buf;
-
-  out << "  \"classes\": {\n";
-  for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-    out << "    \"" << OpClassName(static_cast<OpClass>(c))
-        << "\": " << JsonStats(classes[c])
-        << (c + 1 < kNumOpClasses ? ",\n" : "\n");
-  }
-  out << "  },\n  \"tenants\": {\n";
+  JsonWriter out;
+  out.BeginObject()
+      .Field("spec", spec_origin)
+      .Field("wall_seconds", wall_seconds)
+      .Field("seed", seed);
+  out.Key("totals")
+      .BeginObject()
+      .Field("sent", TotalSent())
+      .Field("ok", TotalOk())
+      .Field("errors", TotalErrors())
+      .Field("qps", qps)
+      .EndObject();
+  WriteClasses(classes, out);
+  out.Key("tenants").BeginObject();
   for (std::size_t t = 0; t < tenants.size(); ++t) {
-    out << "    \"" << tenant_names[t] << "\": {\"computed_ok\": "
-        << computed_ok[t] << ", \"classes\": {\n";
-    for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-      out << "      \"" << OpClassName(static_cast<OpClass>(c))
-          << "\": " << JsonStats(tenants[t][c])
-          << (c + 1 < kNumOpClasses ? ",\n" : "\n");
-    }
-    out << "    }}" << (t + 1 < tenants.size() ? ",\n" : "\n");
+    out.Key(tenant_names[t]).BeginObject().Field("computed_ok", computed_ok[t]);
+    WriteClasses(tenants[t], out);
+    out.EndObject();
   }
-  out << "  }\n}\n";
+  out.EndObject().EndObject();
   return out.str();
 }
 

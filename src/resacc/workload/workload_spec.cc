@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "resacc/serve/query_service.h"
+
 namespace resacc {
 namespace {
 
@@ -176,9 +178,10 @@ StatusOr<WorkloadSpec> WorkloadSpec::Parse(const std::string& text,
         if (tok.size() != 2) {
           return LineError(origin, lineno, "tenant needs exactly one name");
         }
-        if (tok[1] == "default") {
+        if (!IsValidTenantName(tok[1])) {
           return LineError(origin, lineno,
-                           "tenant name 'default' is reserved");
+                           "tenant name '" + tok[1] +
+                               "' is reserved or not [A-Za-z0-9_.-]+");
         }
         if (spec.TenantIndex(tok[1]) != spec.tenants.size()) {
           return LineError(origin, lineno,

@@ -197,6 +197,101 @@ TEST_P(PhaseCancelTest, PartialResultIsHonestAndMetricsStayConsistent) {
 INSTANTIATE_TEST_SUITE_P(AllPhases, PhaseCancelTest,
                          ::testing::Values("hhop", "omfwd", "remedy"));
 
+// The solver series a solve can move, read together so a test can hold
+// one solve's deltas.
+struct SolveSeries {
+  std::uint64_t full = 0;
+  std::uint64_t topk = 0;
+  std::uint64_t degraded = 0;
+  std::uint64_t cancelled = 0;
+  std::uint64_t total = 0;
+  // Phase histogram counts: hhop, omfwd, remedy, dense, topk.
+  std::uint64_t phases[5] = {};
+
+  static SolveSeries Read() {
+    MetricsRegistry& registry = MetricsRegistry::Global();
+    SolveSeries series;
+    series.full = registry.GetCounter("resacc_solver_queries_total").Value();
+    series.topk = registry.GetCounter("resacc_topk_queries_total").Value();
+    series.degraded =
+        registry.GetCounter("resacc_solver_queries_degraded_total").Value();
+    series.cancelled =
+        registry.GetCounter("resacc_solver_queries_cancelled_total").Value();
+    series.total = registry.GetHistogram("resacc_solver_query_seconds").count();
+    const char* const names[5] = {"hhop", "omfwd", "remedy", "dense", "topk"};
+    for (int i = 0; i < 5; ++i) {
+      series.phases[i] =
+          registry
+              .GetHistogram("resacc_solver_phase_seconds",
+                            std::string("phase=\"") + names[i] + "\"")
+              .count();
+    }
+    return series;
+  }
+};
+
+// Every ResAccSolver solve, full or top-k, counts once in its mode's
+// counter and the query histogram, in the degraded and cancelled counters
+// when they apply, and in the histogram of each phase that ran — on the
+// local path, the dense path and a path cancelled inside OMFWD alike.
+TEST(SolverMetricsTest, EverySolveCountsOnceInItsModeAndPhases) {
+  const Graph local_graph = ChungLuPowerLaw(400, 2400, 2.5, /*seed=*/11);
+  const Graph star = testing::StarGraph(199);
+  ResAccOptions hybrid;
+  hybrid.hybrid.enable = true;
+  CancellationToken token;
+  ResAccOptions cancel_in_omfwd;
+  cancel_in_omfwd.phase_hook = [&token](const char* phase) {
+    if (std::string(phase) == "omfwd") token.Cancel();
+  };
+  ResAccSolver local(local_graph, TestConfig(local_graph), ResAccOptions{});
+  ResAccSolver dense(star, TestConfig(star), hybrid);
+  ResAccSolver stopped(local_graph, TestConfig(local_graph), cancel_in_omfwd);
+  QueryControl control;
+  control.cancel = &token;
+
+  struct Case {
+    const char* label;
+    ResAccSolver* solver;
+    NodeId source;
+    std::size_t k;  // 0: a full query
+    // Expected deltas: full, topk, degraded, cancelled, then the phases
+    // hhop, omfwd, remedy, dense, topk.
+    std::uint64_t full, topk, degraded, cancelled;
+    std::uint64_t phases[5];
+  };
+  const Case cases[] = {
+      {"local full", &local, 3, 0, 1, 0, 0, 0, {1, 1, 1, 0, 0}},
+      {"local top-k", &local, 3, 10, 0, 1, 0, 0, {1, 1, 0, 0, 1}},
+      {"dense full", &dense, 0, 0, 1, 0, 0, 0, {1, 0, 0, 1, 0}},
+      {"dense top-k", &dense, 0, 10, 0, 1, 0, 0, {1, 0, 0, 1, 0}},
+      {"cancelled full", &stopped, 3, 0, 1, 0, 1, 1, {1, 1, 0, 0, 0}},
+      {"cancelled top-k", &stopped, 3, 10, 0, 1, 1, 1, {1, 1, 0, 0, 1}},
+  };
+  for (const Case& c : cases) {
+    token = CancellationToken();  // unfired for each case
+    const SolveSeries before = SolveSeries::Read();
+    if (c.k == 0) {
+      c.solver->QueryControlled(c.source, control);
+    } else {
+      c.solver->QueryTopK(c.source, c.k, control);
+    }
+    const SolveSeries after = SolveSeries::Read();
+    EXPECT_EQ(c.solver->last_stats().path != SolverPath::kLocal,
+              c.solver == &dense)
+        << c.label;
+    EXPECT_EQ(after.full - before.full, c.full) << c.label;
+    EXPECT_EQ(after.topk - before.topk, c.topk) << c.label;
+    EXPECT_EQ(after.degraded - before.degraded, c.degraded) << c.label;
+    EXPECT_EQ(after.cancelled - before.cancelled, c.cancelled) << c.label;
+    EXPECT_EQ(after.total - before.total, 1u) << c.label;
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_EQ(after.phases[i] - before.phases[i], c.phases[i])
+          << c.label << ", phase " << i;
+    }
+  }
+}
+
 TEST(SolverCancelTest, DeadOnArrivalDeadlineReturnsZeroEstimate) {
   const Graph graph = testing::Figure1Graph();
   const RwrConfig config = TestConfig(graph);

@@ -1,7 +1,13 @@
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +18,7 @@
 #include "resacc/util/env.h"
 #include "resacc/util/fair_queue.h"
 #include "resacc/util/histogram.h"
+#include "resacc/util/json.h"
 #include "resacc/util/rng.h"
 #include "resacc/util/stats.h"
 #include "resacc/util/status.h"
@@ -399,6 +406,93 @@ TEST(EnvTest, ParsesAndDefaults) {
   EXPECT_EQ(GetEnvInt("RESACC_TEST_ENV_BAD", 7), 7);
   EXPECT_EQ(GetEnvInt("RESACC_TEST_ENV_UNSET", 9), 9);
   EXPECT_EQ(GetEnvString("RESACC_TEST_ENV_UNSET", "dft"), "dft");
+}
+
+TEST(JsonWriterTest, EscapesQuotesBackslashesAndControlCharacters) {
+  JsonWriter json;
+  json.Value("a\"b\\c\n\t\x01\x1f \xc3\xa9/");
+  EXPECT_EQ(json.str(),
+            "\"a\\\"b\\\\c\\u000a\\u0009\\u0001\\u001f \xc3\xa9/\"");
+}
+
+TEST(JsonWriterTest, NonFiniteDoublesAreStringsAndFiniteOnesRoundTrip) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double third = 1.0 / 3.0;
+  JsonWriter json;
+  json.BeginArray()
+      .Value(inf)
+      .Value(-inf)
+      .Value(std::numeric_limits<double>::quiet_NaN())
+      .Value(0.1)
+      .Value(1e-5)
+      .Value(third)
+      .Value(5000.0)
+      .Value(-3)
+      .Value(std::numeric_limits<std::uint64_t>::max())
+      .Value(false)
+      .EndArray();
+  EXPECT_EQ(json.str(),
+            "[\n  \"inf\",\n  \"-inf\",\n  \"nan\",\n  0.1,\n  1e-05,\n"
+            "  0.3333333333333333,\n  5000,\n  -3,\n"
+            "  18446744073709551615,\n  false\n]");
+  EXPECT_EQ(std::strtod("0.3333333333333333", nullptr), third);
+}
+
+TEST(JsonWriterTest, LaysOutEmptyAndNestedContainers) {
+  JsonWriter empty;
+  empty.BeginArray().EndArray();
+  EXPECT_EQ(empty.str(), "[]");
+
+  JsonWriter json;
+  json.BeginObject()
+      .Key("empty")
+      .BeginObject()
+      .EndObject()
+      .Field("name", "x")
+      .Key("list")
+      .BeginArray()
+      .BeginObject()
+      .Field("k", 1)
+      .EndObject()
+      .BeginArray()
+      .EndArray()
+      .EndArray()
+      .EndObject();
+  EXPECT_EQ(json.str(),
+            "{\n"
+            "  \"empty\": {},\n"
+            "  \"name\": \"x\",\n"
+            "  \"list\": [\n"
+            "    {\n"
+            "      \"k\": 1\n"
+            "    },\n"
+            "    []\n"
+            "  ]\n"
+            "}");
+}
+
+TEST(WriteTextFileTest, WritesTheWholeText) {
+  const std::string path = ::testing::TempDir() + "/resacc_write_text.json";
+  ASSERT_TRUE(WriteTextFile(path, "{}\n").ok());
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(text, "{}\n");
+  std::remove(path.c_str());
+}
+
+TEST(WriteTextFileTest, FailsOnAMissingDirectory) {
+  const Status status = WriteTextFile(
+      ::testing::TempDir() + "/resacc_no_such_dir/record.json", "{}\n");
+  EXPECT_FALSE(status.ok());
+}
+
+TEST(WriteTextFileTest, FailsOnAFullDevice) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  // The open succeeds; the write or the flush at close fails.
+  const Status status = WriteTextFile("/dev/full", "{}\n");
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("/dev/full"), std::string::npos);
 }
 
 }  // namespace

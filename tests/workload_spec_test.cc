@@ -134,6 +134,8 @@ INSTANTIATE_TEST_SUITE_P(
         BadSpecCase{"tenant a\nweight 2\nend\n", 3},
         // Reserved tenant name.
         BadSpecCase{"tenant default\nclass full 1\nend\n", 1},
+        // A name that would break its Prometheus label and JSON key.
+        BadSpecCase{"tenant a\"b\\c\nclass full 1\nend\n", 1},
         // No tenants at all.
         BadSpecCase{"seed 1\n", 1},
         // Bad picker.

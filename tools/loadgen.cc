@@ -12,7 +12,8 @@
 // rate, closed-loop ones with `concurrency` ops each in flight, the same
 // rule and accounting as bench_workload in process. Pair it with a --cmd
 // that passes --tenants=... so the server runs the spec's QoS weights.
-// The exit code is 0 iff no answer was an error and the server stayed up.
+// The exit code is 0 iff no answer was an error and the server stayed up;
+// an unknown option exits 2 before the server is spawned.
 // The server's stats line then splits the p95 into queue wait
 // (saturation) and compute (the solver).
 //
@@ -30,6 +31,7 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "resacc/serve/protocol.h"
 #include "resacc/util/args.h"
@@ -79,15 +81,20 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool chaos = args.HasFlag("chaos");
+  const double chaos_prob = args.GetDouble("chaos-prob", 0.02);
+  const std::uint64_t chaos_seed = static_cast<std::uint64_t>(args.GetInt(
+      "chaos-seed", static_cast<std::int64_t>(spec.value().seed)));
+  const std::vector<std::string> unknown = args.UnusedOptions();
+  for (const std::string& name : unknown) {
+    std::fprintf(stderr, "loadgen: unknown option --%s\n", name.c_str());
+  }
+  if (!unknown.empty()) return 2;
 
   std::string spawn_command = command;
   if (chaos) {
     // /bin/sh -c treats leading NAME=value words as environment for the
     // command, which is how the server's pre-main fault-injection init
     // (util/fault_injection.cc) gets armed without any server flag.
-    const double chaos_prob = args.GetDouble("chaos-prob", 0.02);
-    const std::uint64_t chaos_seed = static_cast<std::uint64_t>(args.GetInt(
-        "chaos-seed", static_cast<std::int64_t>(spec.value().seed)));
     char env[128];
     std::snprintf(env, sizeof(env),
                   "RESACC_FAULTS=1 RESACC_FAULT_PROB=%.6f "

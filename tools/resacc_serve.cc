@@ -16,7 +16,9 @@
 // each named tenant gets its own bounded admission lane and a weighted
 // fair share of the workers; requests name their tenant with a trailing
 // `tenant=<name>` token (below). Unknown or absent tenants ride the
-// implicit weight-1 default lane.
+// implicit weight-1 default lane. A configured name is one or more of
+// [A-Za-z0-9_.-] (IsValidTenantName). An unknown option, or a --dangling
+// or --invalidation value outside its set, exits 2 before the graph loads.
 //
 // The graph's CSR is checked in O(n + m) right after loading (ValidateCsr,
 // graph_snapshot.h); a corrupt graph exits 1 before `ready` instead of
@@ -93,6 +95,7 @@
 #include <string_view>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "resacc/graph/dynamic/mutable_graph_view.h"
 #include "resacc/graph/graph_io.h"
@@ -135,60 +138,21 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Startup graph load: .rsg snapshots mmap in O(header) time
-  // (graph_snapshot.h), .bin / text formats parse as before. Load time and
-  // resident bytes land in the metrics registry so a `metrics` scrape — or
-  // an operator diffing restarts — sees what startup cost.
-  const std::string& path = args.positionals()[0];
-  const bool snapshot =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".rsg") == 0;
-  Timer load_timer;
-  SnapshotLoadInfo load_info;
-  const StatusOr<Graph> graph =
-      snapshot ? LoadSnapshot(path, SnapshotLoadOptions{}, &load_info)
-               : LoadGraphAuto(path, args.HasFlag("undirected"));
-  const double load_seconds = load_timer.ElapsedSeconds();
-  // The snapshot load read only the header and the offset anchors; a
-  // corrupt edge section would otherwise crash the first query to reach it.
-  Timer check_timer;
-  const Status valid = graph.ok() ? ValidateCsr(graph.value()) : graph.status();
-  const double check_seconds = check_timer.ElapsedSeconds();
-  if (!valid.ok()) {
-    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
-    return 1;
-  }
-  MetricsRegistry::Global()
-      .GetGauge("resacc_graph_load_seconds", "",
-                "Wall-clock seconds loading the serving graph at startup")
-      .Set(load_seconds);
-  MetricsRegistry::Global()
-      .GetGauge("resacc_graph_resident_bytes", "",
-                "CSR bytes resident for the serving graph (heap or mapped)")
-      .Set(static_cast<double>(graph.value().MemoryBytes()));
-  Gauge& generation_gauge = MetricsRegistry::Global().GetGauge(
-      "resacc_graph_generation", "",
-      "Compaction generation of the serving graph's base CSR");
-  generation_gauge.Set(static_cast<double>(load_info.generation));
-  std::fprintf(stderr,
-               "[serve] graph loaded in %.3fs, CSR checked in %.3fms "
-               "(resident=%zu bytes, mmap=%d)\n",
-               load_seconds, check_seconds * 1e3, graph.value().MemoryBytes(),
-               load_info.mmap_used ? 1 : 0);
-  if (snapshot) {
-    std::fprintf(stderr, "[serve] snapshot header: format=RESACC%02u "
-                 "generation=%llu\n",
-                 load_info.format_version,
-                 static_cast<unsigned long long>(load_info.generation));
-  }
-
-  RwrConfig config = RwrConfig::ForGraphSize(graph.value().num_nodes());
+  // Every option is read before the graph loads, so an unknown option or
+  // a bad value exits 2 before any work.
+  RwrConfig config;  // delta and p_f follow the graph's size once it loads
   config.alpha = args.GetDouble("alpha", config.alpha);
   config.epsilon = args.GetDouble("epsilon", config.epsilon);
   config.seed = static_cast<std::uint64_t>(args.GetInt("seed", 0x5eed));
   // Same default as `resacc query`, so the two tools agree on sink graphs.
-  config.dangling = args.GetString("dangling", "absorb") == "source"
-                        ? DanglingPolicy::kBackToSource
-                        : DanglingPolicy::kAbsorb;
+  const std::string dangling = args.GetString("dangling", "absorb");
+  if (dangling != "absorb" && dangling != "source") {
+    std::fprintf(stderr, "resacc_serve: --dangling=%s (want absorb|source)\n",
+                 dangling.c_str());
+    return 2;
+  }
+  config.dangling = dangling == "source" ? DanglingPolicy::kBackToSource
+                                         : DanglingPolicy::kAbsorb;
 
   ServeOptions options;
   options.num_workers = static_cast<std::size_t>(args.GetInt("workers", 0));
@@ -228,10 +192,17 @@ int main(int argc, char** argv) {
   // One process, one service: share the process-wide registry so the
   // `metrics` verb sees serve, solver, and walk-engine series together.
   options.metrics_registry = &MetricsRegistry::Global();
-  options.invalidation =
-      args.GetString("invalidation", "targeted") == "flush"
-          ? ServeOptions::InvalidationMode::kFlushAll
-          : ServeOptions::InvalidationMode::kTargeted;
+  const std::string invalidation =
+      args.GetString("invalidation", "targeted");
+  if (invalidation != "targeted" && invalidation != "flush") {
+    std::fprintf(stderr,
+                 "resacc_serve: --invalidation=%s (want targeted|flush)\n",
+                 invalidation.c_str());
+    return 2;
+  }
+  options.invalidation = invalidation == "flush"
+                             ? ServeOptions::InvalidationMode::kFlushAll
+                             : ServeOptions::InvalidationMode::kTargeted;
   options.invalidation_slack = args.GetDouble("invalidation-slack", 0.5);
   // Multi-tenant QoS: --tenants=gold:4,bronze:1 maps each name to a fair
   // queue lane with that weight (see the header comment's protocol notes).
@@ -249,7 +220,7 @@ int main(int argc, char** argv) {
         colon == std::string::npos
             ? 1.0
             : std::atof(item.c_str() + colon + 1);
-    if (name.empty() || name == "default" || !(weight > 0.0)) {
+    if (!IsValidTenantName(name) || !(weight > 0.0)) {
       std::fprintf(stderr, "resacc_serve: bad --tenants item '%s'\n",
                    item.c_str());
       return 2;
@@ -257,15 +228,75 @@ int main(int argc, char** argv) {
     options.tenant_weights.emplace_back(name, weight);
   }
 
+  MutableGraphOptions view_options;
+  view_options.compact_threshold_rows =
+      static_cast<std::size_t>(args.GetInt("compact-threshold", 0));
+  view_options.snapshot_path_prefix = args.GetString("snapshot-prefix", "");
+  // Negative: twice the resolved worker count, known once the service runs.
+  const std::int64_t window_flag = args.GetInt("window", -1);
+  const double stats_interval = args.GetDouble("stats-interval", 0.0);
+  // Only edge-list text loads symmetrize.
+  const bool undirected = args.HasFlag("undirected");
+  const std::vector<std::string> unknown = args.UnusedOptions();
+  for (const std::string& name : unknown) {
+    std::fprintf(stderr, "resacc_serve: unknown option --%s\n", name.c_str());
+  }
+  if (!unknown.empty()) return 2;
+
+  // Startup graph load: .rsg snapshots mmap in O(header) time
+  // (graph_snapshot.h), .bin / text formats parse as before. Load time and
+  // resident bytes land in the metrics registry so a `metrics` scrape — or
+  // an operator diffing restarts — sees what startup cost.
+  const std::string& path = args.positionals()[0];
+  const bool snapshot =
+      path.size() >= 4 && path.compare(path.size() - 4, 4, ".rsg") == 0;
+  Timer load_timer;
+  SnapshotLoadInfo load_info;
+  const StatusOr<Graph> graph =
+      snapshot ? LoadSnapshot(path, SnapshotLoadOptions{}, &load_info)
+               : LoadGraphAuto(path, undirected);
+  const double load_seconds = load_timer.ElapsedSeconds();
+  // The snapshot load read only the header and the offset anchors; a
+  // corrupt edge section would otherwise crash the first query to reach it.
+  Timer check_timer;
+  const Status valid = graph.ok() ? ValidateCsr(graph.value()) : graph.status();
+  const double check_seconds = check_timer.ElapsedSeconds();
+  if (!valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+    return 1;
+  }
+  MetricsRegistry::Global()
+      .GetGauge("resacc_graph_load_seconds", "",
+                "Wall-clock seconds loading the serving graph at startup")
+      .Set(load_seconds);
+  MetricsRegistry::Global()
+      .GetGauge("resacc_graph_resident_bytes", "",
+                "CSR bytes resident for the serving graph (heap or mapped)")
+      .Set(static_cast<double>(graph.value().MemoryBytes()));
+  Gauge& generation_gauge = MetricsRegistry::Global().GetGauge(
+      "resacc_graph_generation", "",
+      "Compaction generation of the serving graph's base CSR");
+  generation_gauge.Set(static_cast<double>(load_info.generation));
+  std::fprintf(stderr,
+               "[serve] graph loaded in %.3fs, CSR checked in %.3fms "
+               "(resident=%zu bytes, mmap=%d)\n",
+               load_seconds, check_seconds * 1e3, graph.value().MemoryBytes(),
+               load_info.mmap_used ? 1 : 0);
+  if (snapshot) {
+    std::fprintf(stderr, "[serve] snapshot header: format=RESACC%02u "
+                 "generation=%llu\n",
+                 load_info.format_version,
+                 static_cast<unsigned long long>(load_info.generation));
+  }
+  const RwrConfig sized = RwrConfig::ForGraphSize(graph.value().num_nodes());
+  config.delta = sized.delta;
+  config.p_f = sized.p_f;
+
   // The live-graph layer: mutations go through the view; the service is
   // re-pointed at a fresh epoch snapshot after every applied batch. Held
   // in a unique_ptr so the compactor thread can be joined (reset) before
   // the service — whose UpdateGraph the compaction callback calls — is
   // destroyed.
-  MutableGraphOptions view_options;
-  view_options.compact_threshold_rows =
-      static_cast<std::size_t>(args.GetInt("compact-threshold", 0));
-  view_options.snapshot_path_prefix = args.GetString("snapshot-prefix", "");
   view_options.initial_generation = load_info.generation;
   auto view = std::make_unique<MutableGraphView>(graph.value().ShallowView(),
                                                  view_options);
@@ -285,8 +316,9 @@ int main(int argc, char** argv) {
                      info.snapshot_path.empty() ? "" : " -> ",
                      info.snapshot_path.c_str());
       });
-  const std::size_t window = static_cast<std::size_t>(args.GetInt(
-      "window", static_cast<std::int64_t>(2 * service.num_workers())));
+  const std::size_t window = window_flag >= 0
+                                 ? static_cast<std::size_t>(window_flag)
+                                 : 2 * service.num_workers();
 
   std::fprintf(stderr, "[serve] ready: nodes=%u edges=%llu workers=%zu\n",
                graph.value().num_nodes(),
@@ -295,7 +327,6 @@ int main(int argc, char** argv) {
 
   // Periodic one-line stats on stderr (stdout carries the protocol).
   std::unique_ptr<StatsReporter> reporter;
-  const double stats_interval = args.GetDouble("stats-interval", 0.0);
   if (stats_interval > 0.0) {
     reporter = std::make_unique<StatsReporter>(
         stats_interval,
