@@ -17,6 +17,7 @@
 #include "resacc/core/forward_push.h"
 #include "resacc/core/h_hop_fwd.h"
 #include "resacc/core/random_walk.h"
+#include "resacc/core/remedy.h"
 #include "resacc/core/walk_engine.h"
 #include "resacc/graph/dynamic/mutable_graph_view.h"
 #include "resacc/graph/generators.h"
@@ -128,30 +129,22 @@ void BM_RandomWalksGeometric(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomWalksGeometric);
 
-// The remedy phase's walk workload: slices as RunRemedy would build them
-// from a forward push on the bench graph, scaled to a fixed walk count so
-// the thread sweep compares like with like.
+// The remedy phase's walk workload: the slices RunRemedy runs for the
+// residues of a forward push on the bench graph, planned at a fixed walk
+// count so the thread sweep compares like with like. Run them on
+// kRemedyBenchRoot, the root they were planned with.
+const Rng kRemedyBenchRoot(17);
+
 const std::vector<WalkSlice>& RemedyBenchSlices() {
   static const std::vector<WalkSlice>& slices = *[] {
     const Graph& g = BenchGraph();
     const RwrConfig config = BenchConfig();
-    auto* out = new std::vector<WalkSlice>;
     PushState state(g.num_nodes());
     state.SetResidue(0, 1.0);
     const NodeId seeds[] = {NodeId{0}};
     RunForwardSearch(g, config, 0, /*r_max=*/1e-5, seeds, false, state);
-    const Score r_sum = state.ResidueSum();
-    const double target_walks = 2e6;
-    for (NodeId v : state.touched()) {
-      const Score residue = state.residue(v);
-      if (residue <= 0.0) continue;
-      const std::uint64_t walks = static_cast<std::uint64_t>(
-          std::ceil(residue * target_walks / r_sum));
-      out->push_back(WalkSlice{v, walks,
-                               residue / static_cast<Score>(walks),
-                               /*stream=*/v});
-    }
-    return out;
+    return new std::vector<WalkSlice>(
+        PlanRemedy(state, /*n_r=*/2e6, kRemedyBenchRoot).slices);
   }();
   return slices;
 }
@@ -161,12 +154,11 @@ void BM_RemedyWalkEngine(benchmark::State& state) {
   const RwrConfig config = BenchConfig();
   const std::vector<WalkSlice>& slices = RemedyBenchSlices();
   WalkEngine engine(static_cast<std::size_t>(state.range(0)));
-  const Rng root(17);
   std::vector<Score> scores(g.num_nodes(), 0.0);
   std::uint64_t walks = 0;
   for (auto _ : state) {
     std::fill(scores.begin(), scores.end(), 0.0);
-    walks += engine.Run(g, config, 0, root, slices, scores).walks;
+    walks += engine.Run(g, config, 0, kRemedyBenchRoot, slices, scores).walks;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(walks));
 }
@@ -309,7 +301,6 @@ int WriteWalkEngineJson(const std::string& path) {
   const Graph& g = BenchGraph();
   const RwrConfig config = BenchConfig();
   const std::vector<WalkSlice>& slices = RemedyBenchSlices();
-  const Rng root(17);
 
   struct Sweep {
     std::size_t threads;
@@ -326,13 +317,13 @@ int WriteWalkEngineJson(const std::string& path) {
     // Warm-up run builds the pool and faults in the workspace and the
     // terminal ring; the row is the median of the timed runs (a shared
     // host drifts between runs).
-    engine.Run(g, config, 0, root, slices, scores);
+    engine.Run(g, config, 0, kRemedyBenchRoot, slices, scores);
     std::vector<Sweep> runs;
     for (int run = 0; run < kWalkEngineTimedRuns; ++run) {
       std::fill(scores.begin(), scores.end(), 0.0);
       Timer timer;
       const WalkEngineStats stats =
-          engine.Run(g, config, 0, root, slices, scores);
+          engine.Run(g, config, 0, kRemedyBenchRoot, slices, scores);
       const double seconds = timer.ElapsedSeconds();
       if (threads == 1 && run == 0) reference = scores;
       const bool identical = scores == reference;

@@ -41,7 +41,7 @@
 using namespace resacc;
 
 int main(int argc, char** argv) {
-  ArgParser args(argc, argv);
+  ArgParser args(argc, argv, {"no-coalesce", "check"});
 
   const std::string spec_path =
       args.GetString("spec", "bench/workload/smoke.spec");
@@ -70,11 +70,11 @@ int main(int argc, char** argv) {
   const bool check = args.HasFlag("check");
   const std::string bounds =
       args.GetString("bounds", "bench/workload/baseline.bounds");
-  const std::vector<std::string> unknown = args.UnusedOptions();
-  for (const std::string& name : unknown) {
-    std::fprintf(stderr, "bench_workload: unknown option --%s\n", name.c_str());
+  const std::vector<std::string> errors = args.Errors();
+  for (const std::string& error : errors) {
+    std::fprintf(stderr, "bench_workload: %s\n", error.c_str());
   }
-  if (!unknown.empty()) return 2;
+  if (!errors.empty()) return 2;
 
   std::fprintf(stderr, "[bench_workload] generating graph: %u nodes, "
                "%llu edges...\n", nodes,

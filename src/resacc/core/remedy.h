@@ -18,7 +18,10 @@ struct RemedyStats {
   Score residue_sum = 0.0;      // r_sum fed into the walk-count formula
   std::uint64_t walks = 0;      // total walks simulated
   std::uint64_t steps = 0;      // total walk steps
-  double target_walks = 0.0;    // n_r from Theorem 3 (before ceil per node)
+  // n_r from Theorem 3. A full run simulates ceil(n_r) walks: at most
+  // n_r + 1 (float rounding aside), whatever the residual-node count.
+  double target_walks = 0.0;
+  std::uint64_t residual_nodes = 0;  // nodes with positive residue
   bool budget_exhausted = false;  // stopped early by the time budget
   bool cancelled = false;         // stopped early by the cancellation token
   // Residue mass whose correction walks were skipped (budget or
@@ -29,10 +32,36 @@ struct RemedyStats {
   Score uncorrected_mass = 0.0;
 };
 
-// The remedy phase shared by ResAcc (Algorithm 2 lines 5-17) and FORA:
-// converts the residues left in `state` into unbiased score corrections by
-// simulating n_r(v) = ceil(r(v) * n_r / r_sum) walks from each node v with
-// positive residue, adding r(v) / n_r(v) to the terminal node of each walk.
+// The walks remedy runs for the residues in `state` at a walk count of
+// `n_r` (> 0), and the residual-node count they came from. With
+// b = r_sum / n_r:
+//  * node v runs floor(r(v) / b) walks of weight b on stream v;
+//  * the leftovers l(v) = r(v) - floor(r(v) / b) * b, each below b, form a
+//    pool of mass L that runs K = ceil(L / b) walks of weight L / K. Their
+//    starts are drawn i.i.d. in proportion to l from their own substream
+//    of `root`; the walks drawn at v form one slice on stream
+//    kRemedyPoolStream | v.
+// Every walk weighs at most b, the weights sum to r_sum, and there are
+// ceil(n_r) walks in all. The slices are a pure function of (state, n_r,
+// root): floor slice, then pool slice, per node in touched order.
+struct RemedyPlan {
+  std::vector<WalkSlice> slices;
+  std::uint64_t residual_nodes = 0;
+};
+
+// Tags the pool slices' streams apart from the floor slices' 32-bit ids.
+inline constexpr std::uint64_t kRemedyPoolStream = std::uint64_t{1} << 32;
+
+RemedyPlan PlanRemedy(const PushState& state, double n_r, const Rng& root);
+
+// The remedy phase shared by ResAcc (Algorithm 2 lines 5-17), FORA,
+// TopPPR, seed-set queries and the top-k fallback: converts the residues
+// left in `state` into unbiased score corrections by running PlanRemedy's
+// walks at n_r = r_sum * c * walk_scale (Theorem 3), each adding its
+// weight to its terminal node. Algorithm 2 instead runs
+// ceil(r(v) * n_r / r_sum) walks from every residual node, at least one
+// each; PlanRemedy keeps its per-walk weight bound and its total mass with
+// Theorem 3's walk count (DESIGN.md "Deviations").
 //
 // `scores` must be sized num_nodes; corrections are accumulated into it
 // (callers pre-fill it with the reserves).
@@ -50,10 +79,10 @@ struct RemedyStats {
 //
 // The walks run on `engine` (WalkEngine); nullptr uses a per-call
 // sequential engine. The output is bit-identical for every engine thread
-// count: randomness is forked per residual node from one draw of `rng`
-// (which advances, so repeated calls with the same Rng object stay
-// independent), and the engine merges per-block partial sums in a fixed
-// order. See walk_engine.h for the full determinism contract.
+// count: the plan's randomness comes from one draw of `rng` (which
+// advances, so repeated calls with the same Rng object stay independent),
+// and the engine merges per-block partial sums in a fixed order. See
+// walk_engine.h for the full determinism contract.
 // A non-null `cancel` token stops the walk loop at the next block issue
 // (same granularity as the budget); the skipped residue mass is reported
 // as `uncorrected_mass` either way.

@@ -30,7 +30,13 @@ struct Block {
 };
 
 std::vector<Block> BuildBlocks(std::span<const WalkSlice> slices) {
+  constexpr std::uint64_t kMax = WalkEngine::kBlockWalks;
+  std::size_t count = 0;
+  for (const WalkSlice& slice : slices) {
+    count += (slice.num_walks + kMax - 1) / kMax;
+  }
   std::vector<Block> blocks;
+  blocks.reserve(count);  // exactly: no doubling past the need
   std::uint64_t first_walk = 0;
   for (std::size_t i = 0; i < slices.size(); ++i) {
     const WalkSlice& slice = slices[i];
@@ -38,8 +44,7 @@ std::vector<Block> BuildBlocks(std::span<const WalkSlice> slices) {
     std::uint64_t remaining = slice.num_walks;
     std::uint64_t ordinal = 0;
     while (remaining > 0) {
-      const std::uint64_t walks =
-          std::min<std::uint64_t>(remaining, WalkEngine::kBlockWalks);
+      const std::uint64_t walks = std::min(remaining, kMax);
       blocks.push_back(
           Block{static_cast<std::uint32_t>(i), walks, ordinal, first_walk});
       first_walk += walks;

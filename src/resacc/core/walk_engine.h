@@ -18,8 +18,9 @@ namespace resacc {
 
 // One batch of identical-origin walks: `num_walks` walks start at `start`
 // and each deposits `weight` on its terminal node. `stream` selects the RNG
-// substream; callers pass the start node id so a slice's randomness is a
-// function of (root rng, node) alone, never of slice order or scheduling.
+// substream; callers key it by the start node id (remedy's pool slices by
+// 1 << 32 | id) so a slice's randomness is a function of (root rng, stream)
+// alone, never of slice order or scheduling.
 struct WalkSlice {
   NodeId start = 0;
   std::uint64_t num_walks = 0;

@@ -24,6 +24,15 @@ constexpr std::size_t kParallelParseThreshold = std::size_t{1} << 20;
 // count so save/load round-trips keep trailing isolated nodes.
 constexpr char kEdgeListHeader[] = "# resacc edge list:";
 
+// The node count an edge list may ask for: n costs GraphBuilder about 24
+// bytes of offsets before a single edge is placed, so n must be justified
+// by the bytes read, or a one-line "0 4000000000" file would ask for 96 GB.
+// 16 nodes per byte is far above what real files need (a SaveEdgeList file
+// of a graph with edges takes several bytes per edge), and small
+// hand-written files get kMinNodeBound whatever their size.
+constexpr std::uint64_t kNodesPerFileByte = 16;
+constexpr std::uint64_t kMinNodeBound = std::uint64_t{1} << 16;
+
 enum class ParseError { kNone, kMalformed, kIdTooLarge };
 
 struct ChunkResult {
@@ -191,8 +200,14 @@ StatusOr<Graph> LoadEdgeList(const std::string& path, bool symmetrize,
   std::uint64_t num_nodes =
       any_edges ? static_cast<std::uint64_t>(max_id) + 1 : 0;
   num_nodes = std::max(num_nodes, declared_nodes);
-  if (num_nodes >= kInvalidNode) {
-    return Status::OutOfRange("node count too large: " + path);
+  const std::uint64_t node_bound =
+      kMinNodeBound + kNodesPerFileByte * buffer.size();
+  if (num_nodes >= kInvalidNode || num_nodes > node_bound) {
+    return Status::OutOfRange(
+        path + ": node count " + std::to_string(num_nodes) +
+        " is more than a " + std::to_string(buffer.size()) +
+        "-byte edge list can justify (at most " + std::to_string(node_bound) +
+        ")");
   }
 
   GraphBuilder builder(static_cast<NodeId>(num_nodes), symmetrize);

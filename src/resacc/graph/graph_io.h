@@ -15,7 +15,8 @@ namespace resacc {
 // (weighted edge lists load fine). If the file starts with the
 // "# resacc edge list: N nodes" header that SaveEdgeList writes, N is
 // honoured, so round-trips preserve trailing isolated nodes; otherwise
-// num_nodes = max id + 1.
+// num_nodes = max id + 1. A node count above 2^16 + 16 per byte of the
+// file is refused with OutOfRange before anything is sized by it.
 //
 // `symmetrize` treats the file as an undirected graph (each line becomes
 // two directed edges), matching the paper's handling of DBLP/Orkut/etc.

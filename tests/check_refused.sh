@@ -1,6 +1,6 @@
 #!/bin/sh
 # Runs a command that must refuse to run: it exits 2 and says why on
-# stderr (ctests `*_unknown_option`, `serve_bad_dangling`,
+# stderr (ctests `*_unknown_option`, `*_bad_*_value`, `serve_bad_dangling`,
 # `bench_workload_full_device`).
 #
 #   usage: check_refused.sh <text stderr must contain> <command> [args...]

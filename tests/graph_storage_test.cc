@@ -478,6 +478,117 @@ TEST(SnapshotTest, FuzzedSnapshotsFailCleanlyOrAnswer) {
   std::remove(path.c_str());
 }
 
+// Deterministic fuzz of edge-list text, in the .rsg fuzz's idiom: 500
+// mutants of a small SaveEdgeList file, each with 1-4 edits (a random
+// byte, a bit flip, a boundary token written over a line, the header's
+// node count replaced, a deleted or doubled line, or a truncation), loaded
+// at one and at four parse threads in turn. Every mutant either fails with
+// InvalidArgument or OutOfRange, or loads a graph that passes ValidateCsr
+// and has no more nodes than the loader's bound for its size. Ids such as
+// 4000000000 are below kInvalidNode, so before the bound such a mutant
+// sized the builder's offsets at ~96 GB.
+TEST(EdgeListTest, FuzzedEdgeListsFailCleanlyOrValidate) {
+  const Graph graph = ChungLuPowerLaw(200, 1200, 2.2, /*seed=*/9);
+  const std::string path = TempPath("fuzz_edges.txt");
+  ASSERT_TRUE(SaveEdgeList(graph, path).ok());
+  const std::string base = ReadFile(path);
+  const char* const tokens[] = {
+      "0",          "199",        "200",        "65536",
+      "4000000000", "4294967294", "4294967295", "18446744073709551616",
+      "-1",         "0x10",       "1e3",        "#",
+      "\t",         "\r\n",       "1 2 3",      "7\n4000000000 1"};
+  const char* const counts[] = {"0",       "200",        "65537",
+                                "5000000", "4000000000", "4294967295",
+                                "-3",      "99999999999999999999"};
+
+  Rng rng(0xed6e);
+  int loaded_graphs = 0;
+  for (int iter = 0; iter < 500; ++iter) {
+    std::string text = base;
+    const int edits = 1 + static_cast<int>(rng.NextBounded(4));
+    for (int e = 0; e < edits && !text.empty(); ++e) {
+      const std::size_t pos = rng.NextBounded(text.size());
+      const std::size_t line_start = text.rfind('\n', pos) == std::string::npos
+                                         ? 0
+                                         : text.rfind('\n', pos) + 1;
+      std::size_t line_end = text.find('\n', pos);
+      if (line_end == std::string::npos) line_end = text.size();
+      switch (rng.NextBounded(7)) {
+        case 0:
+          text[pos] = static_cast<char>(rng.NextBounded(256));
+          break;
+        case 1:
+          text[pos] = static_cast<char>(text[pos] ^ (1 << rng.NextBounded(8)));
+          break;
+        case 2:
+          text.replace(line_start, line_end - line_start,
+                       std::string(tokens[rng.NextBounded(std::size(tokens))]) +
+                           " " + tokens[rng.NextBounded(std::size(tokens))]);
+          break;
+        case 3: {
+          const std::size_t header_end = text.find('\n');
+          if (header_end == std::string::npos) break;
+          text.replace(0, header_end,
+                       std::string("# resacc edge list: ") +
+                           counts[rng.NextBounded(std::size(counts))] +
+                           " nodes, 1 edges");
+          break;
+        }
+        case 4:
+          text.erase(line_start, line_end - line_start);
+          break;
+        case 5:
+          text.insert(line_start,
+                      text.substr(line_start, line_end - line_start) + "\n");
+          break;
+        default:
+          text.resize(pos);
+          break;
+      }
+    }
+    WriteFile(path, text);
+
+    const StatusOr<Graph> loaded =
+        LoadEdgeList(path, /*symmetrize=*/false, iter % 2 == 0 ? 1 : 4);
+    if (!loaded.ok()) {
+      EXPECT_TRUE(loaded.status().code() == StatusCode::kInvalidArgument ||
+                  loaded.status().code() == StatusCode::kOutOfRange)
+          << "iter " << iter << ": " << loaded.status().ToString();
+      continue;
+    }
+    const Graph& g = loaded.value();
+    EXPECT_LE(g.num_nodes(), 65536 + 16 * text.size()) << "iter " << iter;
+    const Status valid = ValidateCsr(g);
+    EXPECT_TRUE(valid.ok()) << "iter " << iter << ": " << valid.ToString();
+    ++loaded_graphs;
+  }
+  // Edits inside comments or to other small ids leave loadable files.
+  EXPECT_GT(loaded_graphs, 0);
+  std::remove(path.c_str());
+}
+
+// The bound itself: a one-line file naming node 4000000000, or a header
+// declaring 4 billion nodes, is refused before anything is sized by it,
+// while a small file may still name ids up to 2^16 + 16 per byte.
+TEST(EdgeListTest, RejectsNodeCountsTheFileCannotJustify) {
+  const std::string path = TempPath("huge_n.txt");
+  for (const char* contents :
+       {"0 4000000000\n",
+        "# resacc edge list: 4000000000 nodes, 1 edges\n0 1\n", "0 70000\n"}) {
+    WriteFile(path, contents);
+    const StatusOr<Graph> graph = LoadEdgeList(path);
+    ASSERT_FALSE(graph.ok()) << contents;
+    EXPECT_EQ(graph.status().code(), StatusCode::kOutOfRange) << contents;
+    EXPECT_NE(graph.status().ToString().find("node count"), std::string::npos)
+        << graph.status().ToString();
+  }
+  WriteFile(path, "0 65535\n");
+  const StatusOr<Graph> small = LoadEdgeList(path);
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  EXPECT_EQ(small.value().num_nodes(), 65536u);
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotTest, RejectsBadMagic) {
   const std::string path = TempPath("bad_magic.rsg");
   WriteFile(path, std::string(256, 'x'));

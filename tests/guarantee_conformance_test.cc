@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -50,14 +51,14 @@ namespace {
 constexpr int kTrials = 200;
 constexpr int kSourcesPerGraph = 10;
 
-RwrConfig ConformanceConfig(std::uint64_t seed) {
+RwrConfig ConformanceConfig(std::uint64_t seed, double delta = 0.01) {
   RwrConfig config;
   config.alpha = 0.2;
   config.epsilon = 0.5;  // the paper's operating point
   // delta/p_f large enough that (a) many nodes clear the delta threshold
   // on a few-hundred-node graph and (b) p_f is observable at this trial
   // count (p_f = 1e-6 would need millions of pairs to say anything).
-  config.delta = 0.01;
+  config.delta = delta;
   config.p_f = 0.01;
   config.dangling = DanglingPolicy::kAbsorb;
   config.seed = seed;
@@ -128,11 +129,37 @@ std::vector<ConformanceGraph> MakeHubGraphs() {
   return graphs;
 }
 
+// Pool-heavy variant: 3000 nodes at delta 0.05, where Theorem 3's n_r
+// falls below the residual-node count (ResAcc: about 370 against 2070 on
+// the Chung-Lu graph, 90 against 180 on the small world), so remedy's
+// leftover pool draws half the walks or more (forward-search states from
+// these sources: about 52% on the Chung-Lu graph, 80-93% on the small
+// world). The other graphs have 300-400 nodes at delta 0.01, where the
+// floor walks carry most of the mass. The small world also puts more
+// nodes above delta per source (5 against 1.3).
+constexpr double kPoolHeavyDelta = 0.05;
+
+std::vector<ConformanceGraph> MakePoolHeavyGraphs() {
+  std::vector<ConformanceGraph> graphs;
+  graphs.push_back(
+      {"chung-lu-3000", ChungLuPowerLaw(3000, 18000, 2.5, /*seed=*/13)});
+  graphs.push_back(
+      {"small-world-3000", WattsStrogatz(3000, 2, 0.1, /*seed=*/5)});
+  return graphs;
+}
+
 using SolverFactory = std::function<std::unique_ptr<SsrwrAlgorithm>(
     const Graph&, const RwrConfig&)>;
+// The remedy counters of a solver's last query.
+using RemedyProbe =
+    std::function<const RemedyStats&(const SsrwrAlgorithm& solver)>;
 
+// With a `remedy` probe, every trial also asserts that n_r was below the
+// residual-node count and that remedy ran at most n_r + 1 walks.
 void RunConformance(const SolverFactory& factory,
-                    const std::vector<ConformanceGraph>& graphs) {
+                    const std::vector<ConformanceGraph>& graphs,
+                    double delta = 0.01,
+                    const RemedyProbe& remedy = nullptr) {
   if (GetEnvString("RESACC_CONFORMANCE", "").empty()) {
     GTEST_SKIP() << "set RESACC_CONFORMANCE=1 to run the statistical "
                     "conformance suite (conformance CI job)";
@@ -140,7 +167,7 @@ void RunConformance(const SolverFactory& factory,
 
   for (const ConformanceGraph& entry : graphs) {
     const Graph& graph = entry.graph;
-    const RwrConfig base_config = ConformanceConfig(/*seed=*/1);
+    const RwrConfig base_config = ConformanceConfig(/*seed=*/1, delta);
     GroundTruthCache ground_truth(graph, base_config);
 
     std::uint64_t checked_pairs = 0;
@@ -151,9 +178,17 @@ void RunConformance(const SolverFactory& factory,
       const NodeId source =
           static_cast<NodeId>((trial * 7) % kSourcesPerGraph);
       RwrConfig config = ConformanceConfig(
-          /*seed=*/0x5eed0000ULL + static_cast<std::uint64_t>(trial));
+          /*seed=*/0x5eed0000ULL + static_cast<std::uint64_t>(trial), delta);
       std::unique_ptr<SsrwrAlgorithm> solver = factory(graph, config);
       const std::vector<Score> estimate = solver->Query(source);
+      if (remedy) {
+        const RemedyStats& stats = remedy(*solver);
+        EXPECT_LT(stats.target_walks,
+                  static_cast<double>(stats.residual_nodes))
+            << entry.name << " source " << source;
+        EXPECT_LE(static_cast<double>(stats.walks), stats.target_walks + 1.0)
+            << entry.name << " source " << source;
+      }
 
       const std::vector<Score>& exact = ground_truth.Get(source);
       ASSERT_EQ(estimate.size(), exact.size());
@@ -170,6 +205,10 @@ void RunConformance(const SolverFactory& factory,
     ASSERT_GT(checked_pairs, 0u) << entry.name << ": delta too large, no "
                                  << "node qualified — the test checked "
                                  << "nothing";
+    std::printf("%s: %llu violations in %llu checked pairs\n",
+                entry.name.c_str(),
+                static_cast<unsigned long long>(violations),
+                static_cast<unsigned long long>(checked_pairs));
     const double p_f = ConformanceConfig(1).p_f;
     const double fraction =
         static_cast<double>(violations) / static_cast<double>(checked_pairs);
@@ -219,6 +258,24 @@ TEST(GuaranteeConformanceTest, ResAccSatisfiesDefinition1) {
 
 TEST(GuaranteeConformanceTest, ForaSatisfiesDefinition1) {
   RunConformance(MakeFora(), MakeGraphs());
+}
+
+TEST(GuaranteeConformanceTest,
+     ResAccSatisfiesDefinition1WhenResidualNodesOutnumberNr) {
+  RunConformance(MakeResAcc(), MakePoolHeavyGraphs(), kPoolHeavyDelta,
+                 [](const SsrwrAlgorithm& solver) -> const RemedyStats& {
+                   return static_cast<const ResAccSolver&>(solver)
+                       .last_stats()
+                       .remedy;
+                 });
+}
+
+TEST(GuaranteeConformanceTest,
+     ForaSatisfiesDefinition1WhenResidualNodesOutnumberNr) {
+  RunConformance(MakeFora(), MakePoolHeavyGraphs(), kPoolHeavyDelta,
+                 [](const SsrwrAlgorithm& solver) -> const RemedyStats& {
+                   return static_cast<const Fora&>(solver).last_stats().remedy;
+                 });
 }
 
 // Hub-heavy suite (PR 10): plain ResAcc must keep the guarantee on hub

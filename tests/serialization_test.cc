@@ -134,5 +134,38 @@ TEST(ArgParserTest, TracksUnusedOptions) {
   EXPECT_EQ(args.UnusedOptions(), (std::vector<std::string>{"typo"}));
 }
 
+// A declared flag never takes the next argument as its value; undeclared
+// options still do.
+TEST(ArgParserTest, DeclaredFlagsNeverTakeAValue) {
+  const char* argv[] = {"prog", "stats", "--histogram", "g.bin", "--k", "3"};
+  ArgParser args(6, const_cast<char**>(argv), {"histogram"});
+  EXPECT_EQ(args.positionals(), (std::vector<std::string>{"stats", "g.bin"}));
+  EXPECT_TRUE(args.HasFlag("histogram"));
+  EXPECT_EQ(args.GetInt("k", 0), 3);
+  EXPECT_TRUE(args.Errors().empty());
+}
+
+// A value that does not parse whole, a missing value and a flag given a
+// value are refused like an unknown option, each named with its value.
+TEST(ArgParserTest, ErrorsNameBadValuesAndUnknownOptions) {
+  const char* argv[] = {"prog",         "--source=abc", "--alpha=0.2x",
+                        "--sources=1,x", "--hybrid=0",  "--typo=1",
+                        "--big=99999999999999999999",   "--out"};
+  ArgParser args(8, const_cast<char**>(argv), {"hybrid"});
+  EXPECT_EQ(args.GetInt("source", 7), 7);
+  EXPECT_EQ(args.GetDouble("alpha", 0.5), 0.5);
+  EXPECT_TRUE(args.GetIntList("sources").empty());
+  EXPECT_TRUE(args.HasFlag("hybrid"));
+  EXPECT_EQ(args.GetInt("big", 1), 1);
+  EXPECT_EQ(args.GetString("out", "dft"), "dft");
+  EXPECT_EQ(args.Errors(),
+            (std::vector<std::string>{
+                "--source=abc: not an integer", "--alpha=0.2x: not a number",
+                "--sources=1,x: not a list of integers",
+                "--hybrid=0: takes no value", "unknown option --typo",
+                "--big=99999999999999999999: not an integer",
+                "--out needs a value"}));
+}
+
 }  // namespace
 }  // namespace resacc

@@ -4,6 +4,10 @@
 #include <utility>
 #include <vector>
 
+#include "resacc/core/forward_push.h"
+#include "resacc/core/push_state.h"
+#include "resacc/core/rwr_config.h"
+#include "resacc/graph/generators.h"
 #include "resacc/graph/graph.h"
 #include "resacc/graph/graph_builder.h"
 
@@ -52,6 +56,38 @@ inline Graph FromEdges(NodeId n,
   GraphBuilder builder(n, symmetrize);
   for (const auto& [u, v] : edges) builder.AddEdge(u, v);
   return std::move(builder).Build();
+}
+
+// perfbench's push-batch workload: its graph (Chung-Lu, n = 5000,
+// m = 734,516) and its config, under which n_r = r_sum * c * walk_scale
+// with c * walk_scale = 70.9.
+inline Graph PushBatchGraph() { return ChungLuPowerLaw(5000, 1000000, 2.1, 7); }
+
+inline RwrConfig PushBatchConfig() {
+  RwrConfig config;
+  config.alpha = 0.15;
+  config.epsilon = 0.5;
+  config.delta = 0.01;
+  config.p_f = 1e-3;
+  config.dangling = DanglingPolicy::kAbsorb;
+  config.seed = 7;
+  return config;
+}
+inline constexpr double kPushBatchWalkScale = 0.01;
+
+// The residues push-batch's remedy sees: `source` and its out-neighbours
+// pushed once each, as OMFWD's unconditional seed round does after a
+// 1-hop h-HopFWD, which leaves residue on nearly every node of the
+// source's 2-hop neighbourhood (about 5,000 here, against n_r of about 51).
+inline PushState SeedRoundState(const Graph& graph, const RwrConfig& config,
+                                NodeId source) {
+  PushState state(graph.num_nodes());
+  state.SetResidue(source, 1.0);
+  std::vector<NodeId> seeds{source};
+  for (NodeId v : graph.OutNeighbors(source)) seeds.push_back(v);
+  RunForwardSearch(graph, config, source, /*r_max=*/1.0, seeds,
+                   /*push_seeds_unconditionally=*/true, state);
+  return state;
 }
 
 }  // namespace resacc::testing

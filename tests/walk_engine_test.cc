@@ -154,6 +154,45 @@ TEST(WalkEngineTest, RemedyBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// The same on push-batch's shape at walk_scale 0.1, where the pool's
+// drawn walks outnumber the floor walks: the draw happens once, before
+// the engine, so the plan and the scores are the same at every
+// walk_threads.
+TEST(WalkEngineTest, PoolHeavyRemedyBitIdenticalAcrossThreadCounts) {
+  const Graph g = testing::PushBatchGraph();
+  const RwrConfig config = testing::PushBatchConfig();
+  const PushState state = testing::SeedRoundState(g, config, 17);
+  constexpr double kWalkScale = 0.1;
+  const double n_r =
+      state.ResidueSum() * config.WalkCountCoefficient() * kWalkScale;
+  std::uint64_t floor_walks = 0;
+  std::uint64_t pool_walks = 0;
+  for (const WalkSlice& slice : PlanRemedy(state, n_r, Rng(1)).slices) {
+    (slice.stream == slice.start ? floor_walks : pool_walks) +=
+        slice.num_walks;
+  }
+  ASSERT_GT(pool_walks, floor_walks);
+
+  auto run = [&](std::size_t threads) {
+    std::vector<Score> scores(g.num_nodes(), 0.0);
+    for (NodeId v : state.touched()) scores[v] = state.reserve(v);
+    Rng rng(31);
+    WalkEngine engine(threads);
+    const RemedyStats stats = RunRemedy(g, config, 17, state, rng, scores,
+                                        kWalkScale, 0.0, &engine);
+    EXPECT_EQ(stats.walks, floor_walks + pool_walks);
+    return scores;
+  };
+  const std::vector<Score> reference = run(1);
+  for (std::size_t threads : {2u, 4u}) {
+    const std::vector<Score> scores = run(threads);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_EQ(scores[v], reference[v])
+          << "threads=" << threads << " node " << v;
+    }
+  }
+}
+
 // Solver-level determinism across walk_threads AND query order: two solvers
 // differing only in walk_threads, querying sources in opposite orders, must
 // agree bitwise on every source.

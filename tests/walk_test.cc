@@ -1,13 +1,17 @@
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "resacc/algo/fora.h"
 #include "resacc/algo/inverse.h"
 #include "resacc/core/forward_push.h"
 #include "resacc/core/random_walk.h"
 #include "resacc/core/remedy.h"
+#include "resacc/core/topk_solve.h"
 #include "resacc/graph/generators.h"
+#include "resacc/obs/metrics_registry.h"
 #include "tests/test_graphs.h"
 
 namespace resacc {
@@ -168,6 +172,122 @@ TEST(RemedyTest, TimeBudgetStopsEarly) {
       RunRemedy(g, config, 0, state, rng, scores, 1.0,
                 /*time_budget_seconds=*/1e-9);
   EXPECT_TRUE(stats.budget_exhausted);
+}
+
+// Theorem 3's walk count on push-batch's shape, where the residual nodes
+// outnumber n_r about 100 to 1 (Algorithm 2's per-node ceil ran one walk
+// per residual node there): ceil(n_r) walks, none heavier than
+// r_sum / n_r, depositing exactly r_sum. walk_scale 1 mixes floor and
+// pool walks.
+TEST(RemedyTest, RunsTheorem3WalkCountWhereResidualNodesOutnumberIt) {
+  const Graph g = testing::PushBatchGraph();
+  const RwrConfig config = testing::PushBatchConfig();
+  const PushState state = testing::SeedRoundState(g, config, 17);
+  const Score r_sum = state.ResidueSum();
+  for (double walk_scale : {testing::kPushBatchWalkScale, 1.0}) {
+    SCOPED_TRACE(::testing::Message() << "walk_scale=" << walk_scale);
+    std::vector<Score> scores(g.num_nodes(), 0.0);
+    Rng rng(3);
+    const RemedyStats stats =
+        RunRemedy(g, config, 17, state, rng, scores, walk_scale);
+    const double n_r = stats.target_walks;
+    EXPECT_EQ(n_r, r_sum * config.WalkCountCoefficient() * walk_scale);
+    EXPECT_GE(static_cast<double>(stats.walks), n_r);
+    EXPECT_LE(static_cast<double>(stats.walks), n_r + 1.0);
+    if (walk_scale == testing::kPushBatchWalkScale) {
+      EXPECT_GT(static_cast<double>(stats.residual_nodes), 50.0 * n_r);
+    }
+    Score deposited = 0.0;
+    for (Score s : scores) deposited += s;
+    EXPECT_NEAR(deposited, r_sum, 1e-12 * r_sum);
+
+    const RemedyPlan plan = PlanRemedy(state, n_r, Rng(5));
+    EXPECT_EQ(plan.residual_nodes, stats.residual_nodes);
+    std::uint64_t planned = 0;
+    for (const WalkSlice& slice : plan.slices) {
+      ASSERT_LE(slice.weight, r_sum / n_r);
+      planned += slice.num_walks;
+    }
+    EXPECT_EQ(planned, stats.walks);
+  }
+}
+
+// The pool draws its starts i.i.d. in proportion to the leftovers. At
+// n_r = 2.5, b = 0.24: node 3 runs one floor walk and keeps 0.06, and the
+// pool (L = 0.36) runs K = 2 walks of weight 0.18, so node v expects
+// 2 * l(v) / L of them.
+TEST(RemedyTest, PoolDrawsStartsInProportionToLeftovers) {
+  PushState state(4);
+  state.SetResidue(0, 0.1);
+  state.SetResidue(1, 0.2);
+  state.SetResidue(3, 0.3);
+  const double expected[] = {2 * 0.1 / 0.36, 2 * 0.2 / 0.36, 0.0,
+                             2 * 0.06 / 0.36};
+  constexpr int kRoots = 20000;
+  double drawn[4] = {};
+  for (int root = 0; root < kRoots; ++root) {
+    const RemedyPlan plan = PlanRemedy(state, 2.5, Rng(root));
+    EXPECT_EQ(plan.residual_nodes, 3u);
+    std::uint64_t floor_walks = 0;
+    std::uint64_t pool_walks = 0;
+    for (const WalkSlice& slice : plan.slices) {
+      if (slice.stream == slice.start) {
+        ASSERT_EQ(slice.start, 3u);
+        ASSERT_NEAR(slice.weight, 0.24, 1e-15);
+        floor_walks += slice.num_walks;
+      } else {
+        ASSERT_EQ(slice.stream, kRemedyPoolStream | slice.start);
+        ASSERT_NEAR(slice.weight, 0.18, 1e-15);
+        pool_walks += slice.num_walks;
+        drawn[slice.start] += static_cast<double>(slice.num_walks);
+      }
+    }
+    ASSERT_EQ(floor_walks, 1u);
+    ASSERT_EQ(pool_walks, 2u);
+  }
+  for (NodeId v = 0; v < 4; ++v) {
+    EXPECT_NEAR(drawn[v] / kRoots, expected[v], 0.02) << "node " << v;
+  }
+}
+
+// FORA and the top-k fallback share the estimator: on push-batch's shape
+// each runs ceil(n_r) walks of the residue it leaves to remedy.
+TEST(RemedyTest, ForaRunsTheorem3WalkCount) {
+  const Graph g = testing::PushBatchGraph();
+  ForaOptions options;
+  options.walk_scale = testing::kPushBatchWalkScale;
+  Fora fora(g, testing::PushBatchConfig(), options);
+  fora.Query(17);
+  const RemedyStats& remedy = fora.last_stats().remedy;
+  ASSERT_GT(remedy.target_walks, 1.0);
+  EXPECT_GT(static_cast<double>(remedy.residual_nodes),
+            10.0 * remedy.target_walks);
+  EXPECT_GE(static_cast<double>(remedy.walks), remedy.target_walks);
+  EXPECT_LE(static_cast<double>(remedy.walks), remedy.target_walks + 1.0);
+}
+
+TEST(RemedyTest, TopKFallbackRunsTheorem3WalkCount) {
+  const Graph g = testing::PushBatchGraph();
+  const RwrConfig config = testing::PushBatchConfig();
+  PushState state = testing::SeedRoundState(g, config, 17);
+  const Counter& walks_total = MetricsRegistry::Global().GetCounter(
+      "resacc_walk_engine_walks_total", "", "Random walks simulated.");
+  const std::uint64_t walks_before = walks_total.Value();
+  TopKOptions options;
+  options.profit_slack = 0.0;  // no refinement: straight to the fallback
+  Rng rng(11);
+  WalkEngine engine(1);
+  const TopKResult result = SolveTopKFromState(
+      g, config, 17, /*k=*/10, /*r_max_start=*/1.0,
+      testing::kPushBatchWalkScale, options, state, rng, &engine,
+      /*cancel=*/nullptr, Status::Ok());
+  ASSERT_TRUE(result.status.ok());
+  ASSERT_FALSE(result.certified);
+  const double n_r = state.ResidueSum() * config.WalkCountCoefficient() *
+                     testing::kPushBatchWalkScale;
+  const auto walks = static_cast<double>(walks_total.Value() - walks_before);
+  EXPECT_GE(walks, n_r);
+  EXPECT_LE(walks, n_r + 1.0);
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ void PrintServerSplit(ProtocolClient& client) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ArgParser args(argc, argv);
+  ArgParser args(argc, argv, {"chaos"});
   const std::string command = args.GetString("cmd", "");
   const std::string spec_path = args.GetString("spec", "");
   if (command.empty() || spec_path.empty()) {
@@ -84,11 +84,11 @@ int main(int argc, char** argv) {
   const double chaos_prob = args.GetDouble("chaos-prob", 0.02);
   const std::uint64_t chaos_seed = static_cast<std::uint64_t>(args.GetInt(
       "chaos-seed", static_cast<std::int64_t>(spec.value().seed)));
-  const std::vector<std::string> unknown = args.UnusedOptions();
-  for (const std::string& name : unknown) {
-    std::fprintf(stderr, "loadgen: unknown option --%s\n", name.c_str());
+  const std::vector<std::string> errors = args.Errors();
+  for (const std::string& error : errors) {
+    std::fprintf(stderr, "loadgen: %s\n", error.c_str());
   }
-  if (!unknown.empty()) return 2;
+  if (!errors.empty()) return 2;
 
   std::string spawn_command = command;
   if (chaos) {

@@ -394,7 +394,7 @@ void PrintUsage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ArgParser args(argc, argv);
+  ArgParser args(argc, argv, {"undirected", "histogram", "hybrid", "print"});
   if (args.positionals().size() < 2) {
     PrintUsage();
     return 2;
@@ -420,11 +420,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!run) return 2;
-  const std::vector<std::string> unknown = args.UnusedOptions();
-  for (const std::string& name : unknown) {
-    std::fprintf(stderr, "resacc: unknown option --%s\n", name.c_str());
+  const std::vector<std::string> errors = args.Errors();
+  for (const std::string& error : errors) {
+    std::fprintf(stderr, "resacc: %s\n", error.c_str());
   }
-  if (!unknown.empty()) return 2;
+  if (!errors.empty()) return 2;
   if (command == "generate") return run(Graph());
 
   const StatusOr<Graph> graph =

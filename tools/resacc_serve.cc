@@ -128,7 +128,8 @@ struct OutputItem {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ArgParser args(argc, argv);
+  ArgParser args(argc, argv,
+                 {"no-coalesce", "allow-degraded", "hybrid", "undirected"});
   if (args.positionals().empty()) {
     std::fprintf(stderr,
                  "usage: resacc_serve <graph> [--workers=N] [--queue=N] "
@@ -237,11 +238,11 @@ int main(int argc, char** argv) {
   const double stats_interval = args.GetDouble("stats-interval", 0.0);
   // Only edge-list text loads symmetrize.
   const bool undirected = args.HasFlag("undirected");
-  const std::vector<std::string> unknown = args.UnusedOptions();
-  for (const std::string& name : unknown) {
-    std::fprintf(stderr, "resacc_serve: unknown option --%s\n", name.c_str());
+  const std::vector<std::string> errors = args.Errors();
+  for (const std::string& error : errors) {
+    std::fprintf(stderr, "resacc_serve: %s\n", error.c_str());
   }
-  if (!unknown.empty()) return 2;
+  if (!errors.empty()) return 2;
 
   // Startup graph load: .rsg snapshots mmap in O(header) time
   // (graph_snapshot.h), .bin / text formats parse as before. Load time and
